@@ -5,9 +5,9 @@
 // task sections (preliminary embeddings) plus sample-fate records — and
 // make every sample usable again, which is exactly what a --resume run
 // does before its first retrained sample:
-//   * wholesale leg: read the legacy single-blob file, CRC-check it, parse
+//   * wholesale leg: read the retired single-blob file, CRC-check it, parse
 //     it, and materialize every float in heap memory (the pre-mmap resume
-//     path, kept alive as this baseline).
+//     path; its format code lives here, as this baseline).
 //   * mmap leg: SampleBank::Open in read-only mode — map the file, scan
 //     the frame headers, verify record CRCs — then borrow every section
 //     zero-copy. No float is copied; untouched pages are never faulted in.
@@ -30,6 +30,8 @@
 #include <unistd.h>
 
 #include "bench/harness.h"
+#include "common/binio.h"
+#include "common/crc32.h"
 #include "common/fileio.h"
 #include "common/rng.h"
 #include "comparator/bank_file.h"
@@ -37,6 +39,131 @@
 namespace autocts {
 namespace bench {
 namespace {
+
+/// ---- The wholesale bank format (the baseline leg) ----------------------
+///
+/// The pre-mmap bank image: everything materialized in memory, serialized
+/// as one CRC-framed blob ("ACTSBNK1"). The library no longer reads it;
+/// this bench keeps it as the resume baseline the mmap bank is gated
+/// against.
+
+constexpr uint64_t kWholesaleMagic = 0x41435453424e4b31ull;  // "ACTSBNK1"
+
+struct BankImage {
+  uint64_t config_hash = 0;
+  struct Task {
+    int task = 0;
+    uint64_t key = 0;
+    std::string name;
+    std::vector<int> shape;
+    std::vector<float> floats;
+  };
+  std::vector<Task> sections;
+  std::vector<BankRecord> records;
+};
+
+std::string SerializeBankWholesale(const BankImage& image) {
+  std::string payload;
+  AppendPod(&payload, image.config_hash);
+  AppendPod(&payload, static_cast<uint64_t>(image.sections.size()));
+  for (const BankImage::Task& t : image.sections) {
+    AppendPod(&payload, static_cast<int32_t>(t.task));
+    AppendPod(&payload, t.key);
+    AppendString(&payload, t.name);
+    AppendPod(&payload, static_cast<uint32_t>(t.shape.size()));
+    for (int d : t.shape) AppendPod(&payload, static_cast<int32_t>(d));
+    AppendPod(&payload, static_cast<uint64_t>(t.floats.size()));
+    AppendRaw(&payload, t.floats.data(), t.floats.size() * sizeof(float));
+  }
+  AppendPod(&payload, static_cast<uint64_t>(image.records.size()));
+  for (const BankRecord& r : image.records) {
+    AppendPod(&payload, static_cast<int32_t>(r.task));
+    AppendPod(&payload, static_cast<int32_t>(r.slot));
+    AppendPod(&payload, r.signature);
+    AppendPod(&payload, r.r_prime);
+    AppendPod(&payload, static_cast<uint8_t>(r.shared ? 1 : 0));
+    AppendPod(&payload, static_cast<uint8_t>(r.quarantined ? 1 : 0));
+    AppendPod(&payload, static_cast<int32_t>(r.retries));
+    AppendString(&payload, r.note);
+    AppendString(&payload, r.arch);
+  }
+  std::string out;
+  AppendPod(&out, kWholesaleMagic);
+  AppendPod(&out, Crc32(payload.data(), payload.size()));
+  out += payload;
+  return out;
+}
+
+StatusOr<BankImage> ParseBankWholesale(const std::string& bytes) {
+  FrameReader reader(bytes, 0);
+  uint64_t magic = 0;
+  uint32_t crc = 0;
+  if (!reader.Read(&magic) || !reader.Read(&crc)) {
+    return Status::Error("truncated wholesale sample bank");
+  }
+  if (magic != kWholesaleMagic) {
+    return Status::Error("not a wholesale sample bank (bad magic)");
+  }
+  const size_t payload_offset = sizeof(uint64_t) + sizeof(uint32_t);
+  if (Crc32(bytes.data() + payload_offset, bytes.size() - payload_offset) !=
+      crc) {
+    return Status::Error("wholesale sample bank CRC mismatch");
+  }
+  BankImage image;
+  uint64_t num_sections = 0;
+  if (!reader.Read(&image.config_hash) || !reader.Read(&num_sections)) {
+    return Status::Error("truncated wholesale sample bank");
+  }
+  for (uint64_t i = 0; i < num_sections; ++i) {
+    BankImage::Task t;
+    int32_t task = 0;
+    uint32_t ndim = 0;
+    if (!reader.Read(&task) || !reader.Read(&t.key) ||
+        !reader.ReadString(&t.name) || !reader.Read(&ndim) || ndim > 8) {
+      return Status::Error("malformed wholesale section " + std::to_string(i));
+    }
+    t.task = task;
+    for (uint32_t d = 0; d < ndim; ++d) {
+      int32_t dim = 0;
+      if (!reader.Read(&dim) || dim < 0) {
+        return Status::Error("malformed wholesale section " +
+                             std::to_string(i));
+      }
+      t.shape.push_back(dim);
+    }
+    uint64_t count = 0;
+    if (!reader.Read(&count) || !reader.ReadFloats(&t.floats, count)) {
+      return Status::Error("malformed wholesale section " + std::to_string(i));
+    }
+    image.sections.push_back(std::move(t));
+  }
+  uint64_t num_records = 0;
+  if (!reader.Read(&num_records)) {
+    return Status::Error("truncated wholesale sample bank");
+  }
+  for (uint64_t i = 0; i < num_records; ++i) {
+    BankRecord r;
+    int32_t task = 0, slot = 0, retries = 0;
+    uint8_t shared = 0, quarantined = 0;
+    if (!reader.Read(&task) || !reader.Read(&slot) ||
+        !reader.Read(&r.signature) || !reader.Read(&r.r_prime) ||
+        !reader.Read(&shared) || !reader.Read(&quarantined) ||
+        !reader.Read(&retries) || !reader.ReadString(&r.note) ||
+        !reader.ReadString(&r.arch)) {
+      return Status::Error("malformed wholesale record " + std::to_string(i));
+    }
+    r.task = task;
+    r.slot = slot;
+    r.shared = shared != 0;
+    r.quarantined = quarantined != 0;
+    r.retries = retries;
+    image.records.push_back(std::move(r));
+  }
+  if (reader.remaining() != 0) {
+    return Status::Error("trailing bytes in wholesale sample bank");
+  }
+  return image;
+}
 
 struct BankConfig {
   int sections = 40;

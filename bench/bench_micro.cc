@@ -397,8 +397,8 @@ void AppendStBlockRecord(int iters, bool fused,
 
 // ---- Guardrail overhead: guards armed vs disarmed (BENCH_PR4.json) --------
 
-/// Times the PR-4 training-step guardrails armed vs disarmed (the
-/// in-process equivalent of AUTOCTS_NO_GUARDS=1), on the same ST-block
+/// Times the PR-4 training-step guardrails armed vs disarmed
+/// (SetGuardsEnabled), on the same ST-block
 /// training step as the PR-3 A/B. The step carries the production guard
 /// placements: the trainer's isfinite branch on the loss scalar it reads
 /// anyway (model/trainer.cc) and Adam's non-finite-norm skip. With the

@@ -37,7 +37,7 @@
 //                    [--warmup 64] [--deadline 32] [--research-delay 0]
 //              Prints drift / hot-swap events and the online MAE
 //              pre-onset, degraded, and post-recovery. Detector and
-//              recovery flags default from the AUTOCTS_STREAM_* knobs.
+//              recovery flags default to the StreamOptions defaults.
 //   bank       inspect / CRC-verify a memory-mapped sample bank written by
 //              a checkpointed pretrain run:
 //                autocts_cli bank --path /tmp/ckpt/pipeline.bank [--json]
@@ -327,7 +327,6 @@ double DoubleFlag(const std::map<std::string, std::string>& flags,
 /// stationary), printing drift / hot-swap events as they land and the
 /// online MAE before, during, and after recovery.
 int Stream(const std::map<std::string, std::string>& flags) {
-  const RuntimeConfig& rc = GlobalRuntimeConfig();
   ScaleConfig scale = ScaleConfig::Bench();
   AutoCtsOptions options = AutoCtsOptions::ForScale(scale);
   StatusOr<ForecastTask> built = BuildTask(flags, scale);
@@ -405,7 +404,7 @@ int Stream(const std::map<std::string, std::string>& flags) {
   req.q = task.q;
   req.single_step = task.single_step;
 
-  stream::StreamOptions knobs = stream::StreamOptions::FromConfig(rc);
+  stream::StreamOptions knobs;
   knobs.warmup = IntFlag(flags, "warmup", knobs.warmup);
   knobs.ph_delta =
       static_cast<float>(DoubleFlag(flags, "ph-delta", knobs.ph_delta));

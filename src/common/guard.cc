@@ -4,12 +4,11 @@
 #include <cmath>
 
 #include "common/parallel.h"
-#include "common/runtime_config.h"
 
 namespace autocts {
 namespace {
 
-std::atomic<bool> g_guards_enabled{GlobalRuntimeConfig().guards};
+std::atomic<bool> g_guards_enabled{true};
 
 std::atomic<uint64_t> g_finite_checks{0};
 std::atomic<uint64_t> g_nonfinite_detected{0};

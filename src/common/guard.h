@@ -9,9 +9,8 @@ namespace autocts {
 
 /// Whether the non-finite guardrails (loss/gradient isfinite sweeps, the
 /// Adam skip, the comparator logit check) are active. Defaults to on;
-/// AUTOCTS_NO_GUARDS=1 in the environment disables them — the knob the
-/// guardrail-overhead benchmark A/Bs against. SetGuardsEnabled overrides the
-/// environment for the current process (benches toggle it in-process).
+/// SetGuardsEnabled(false) disables them for the current process — the
+/// toggle the guardrail-overhead benchmark A/Bs against.
 bool GuardsEnabled();
 void SetGuardsEnabled(bool enabled);
 

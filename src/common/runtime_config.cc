@@ -8,9 +8,8 @@
 namespace autocts {
 namespace {
 
-/// The historical truthiness of the AUTOCTS_NO_* knobs: unset, empty, or
-/// "0" means "feature stays on".
-bool DisableFlagSet(const char* name) {
+/// The truthiness of boolean knobs: unset, empty, or "0" means "not set".
+bool FlagSet(const char* name) {
   const char* env = std::getenv(name);
   return env != nullptr && env[0] != '\0' && env[0] != '0';
 }
@@ -36,9 +35,6 @@ RuntimeConfig RuntimeConfig::FromEnv() {
     long mb = std::atol(env);
     if (mb >= 0) cfg.pool_capacity_bytes = static_cast<uint64_t>(mb) << 20;
   }
-  cfg.fused_kernels = !DisableFlagSet("AUTOCTS_NO_FUSED");
-  cfg.step_plans = !DisableFlagSet("AUTOCTS_NO_PLAN");
-  cfg.guards = !DisableFlagSet("AUTOCTS_NO_GUARDS");
   if (const char* env = std::getenv("AUTOCTS_BACKEND")) {
     cfg.backend = env;
   }
@@ -66,48 +62,7 @@ RuntimeConfig RuntimeConfig::FromEnv() {
     int n = std::atoi(env);
     if (n >= 0) cfg.serve_max_delay_us = n;
   }
-  cfg.sample_bank = !DisableFlagSet("AUTOCTS_BANK_DISABLE");
-  cfg.bank_madvise = !DisableFlagSet("AUTOCTS_BANK_NO_MADVISE");
-  cfg.bank_verify_on_open = DisableFlagSet("AUTOCTS_BANK_VERIFY");
-  if (const char* env = std::getenv("AUTOCTS_STREAM_WARMUP")) {
-    int n = std::atoi(env);
-    if (n > 0) cfg.stream_warmup = n;
-  }
-  if (const char* env = std::getenv("AUTOCTS_STREAM_PH_DELTA")) {
-    char* end = nullptr;
-    const float v = std::strtof(env, &end);
-    if (end != env && v >= 0.0f) cfg.stream_ph_delta = v;
-  }
-  if (const char* env = std::getenv("AUTOCTS_STREAM_PH_LAMBDA")) {
-    char* end = nullptr;
-    const float v = std::strtof(env, &end);
-    if (end != env && v > 0.0f) cfg.stream_ph_lambda = v;
-  }
-  if (const char* env = std::getenv("AUTOCTS_STREAM_ERROR_WINDOW")) {
-    int n = std::atoi(env);
-    if (n > 0) cfg.stream_error_window = n;
-  }
-  if (const char* env = std::getenv("AUTOCTS_STREAM_RESEARCH_RETRIES")) {
-    // 0 legitimately means "one attempt, no retries".
-    char* end = nullptr;
-    const long n = std::strtol(env, &end, 10);
-    if (end != env && n >= 0) cfg.stream_research_retries = static_cast<int>(n);
-  }
-  if (const char* env = std::getenv("AUTOCTS_STREAM_RESEARCH_BACKOFF")) {
-    int n = std::atoi(env);
-    if (n > 0) cfg.stream_research_backoff = n;
-  }
-  if (const char* env = std::getenv("AUTOCTS_STREAM_RESEARCH_DEADLINE")) {
-    int n = std::atoi(env);
-    if (n > 0) cfg.stream_research_deadline = n;
-  }
-  if (const char* env = std::getenv("AUTOCTS_STREAM_RESEARCH_DELAY")) {
-    // 0 legitimately means "snapshot at the trigger tick".
-    char* end = nullptr;
-    const long n = std::strtol(env, &end, 10);
-    if (end != env && n >= 0) cfg.stream_research_delay = static_cast<int>(n);
-  }
-  cfg.stream_recovery = !DisableFlagSet("AUTOCTS_STREAM_NO_RECOVERY");
+  cfg.bank_verify_on_open = FlagSet("AUTOCTS_BANK_VERIFY");
   if (const char* env = std::getenv("AUTOCTS_SHARD_WORKERS")) {
     // 0 legitimately means "no sharding", so unparseable input must be told
     // apart from a parsed zero.
@@ -140,9 +95,6 @@ std::string RuntimeConfig::ToJson() const {
   w.BeginObject();
   w.Field("num_threads", num_threads);
   w.Field("pool_capacity_bytes", pool_capacity_bytes);
-  w.Field("fused_kernels", fused_kernels);
-  w.Field("step_plans", step_plans);
-  w.Field("guards", guards);
   w.Field("backend", backend.empty() ? "auto" : backend);
   w.Field("comparator_precision",
           ComparatorPrecisionName(comparator_precision));
@@ -151,18 +103,7 @@ std::string RuntimeConfig::ToJson() const {
   w.Field("serve_max_batch", serve_max_batch);
   w.Field("serve_max_delay_us", serve_max_delay_us);
   w.Field("serve_embed_cache_entries", serve_embed_cache_entries);
-  w.Field("sample_bank", sample_bank);
-  w.Field("bank_madvise", bank_madvise);
   w.Field("bank_verify_on_open", bank_verify_on_open);
-  w.Field("stream_warmup", stream_warmup);
-  w.Field("stream_ph_delta", stream_ph_delta);
-  w.Field("stream_ph_lambda", stream_ph_lambda);
-  w.Field("stream_error_window", stream_error_window);
-  w.Field("stream_research_retries", stream_research_retries);
-  w.Field("stream_research_backoff", stream_research_backoff);
-  w.Field("stream_research_deadline", stream_research_deadline);
-  w.Field("stream_research_delay", stream_research_delay);
-  w.Field("stream_recovery", stream_recovery);
   w.Field("shard_workers", shard_workers);
   w.Field("shard_heartbeat_ms", shard_heartbeat_ms);
   w.Field("shard_steal_timeout_ms", shard_steal_timeout_ms);

@@ -7,19 +7,14 @@
 #include "common/binio.h"
 #include "common/check.h"
 #include "common/crc32.h"
-#include "common/fileio.h"
 #include "common/runtime_config.h"
 
 namespace autocts {
 namespace {
 
-std::atomic<bool> g_bank_enabled{GlobalRuntimeConfig().sample_bank};
-std::atomic<bool> g_bank_madvise{GlobalRuntimeConfig().bank_madvise};
 std::atomic<bool> g_bank_verify{GlobalRuntimeConfig().bank_verify_on_open};
 
-/// "ACTSBNK2" — the mmap format. "ACTSBNK1" is the legacy wholesale blob.
-constexpr uint64_t kBankMagic = 0x41435453424e4b32ull;
-constexpr uint64_t kWholesaleMagic = 0x41435453424e4b31ull;
+constexpr uint64_t kBankMagic = 0x41435453424e4b32ull;  // "ACTSBNK2"
 constexpr uint32_t kBankVersion = 2;
 
 constexpr uint64_t kHeaderBytes = 64;
@@ -230,18 +225,6 @@ Status ScanFrames(const std::string& path, const char* base, uint64_t size,
 
 }  // namespace
 
-bool SampleBankEnabled() {
-  return g_bank_enabled.load(std::memory_order_relaxed);
-}
-void SetSampleBankEnabled(bool enabled) {
-  g_bank_enabled.store(enabled, std::memory_order_relaxed);
-}
-bool SampleBankMadviseEnabled() {
-  return g_bank_madvise.load(std::memory_order_relaxed);
-}
-void SetSampleBankMadviseEnabled(bool enabled) {
-  g_bank_madvise.store(enabled, std::memory_order_relaxed);
-}
 bool SampleBankVerifyOnOpen() {
   return g_bank_verify.load(std::memory_order_relaxed);
 }
@@ -249,64 +232,7 @@ void SetSampleBankVerifyOnOpen(bool enabled) {
   g_bank_verify.store(enabled, std::memory_order_relaxed);
 }
 
-bool IsWholesaleBankFile(const std::string& path) {
-  StatusOr<std::shared_ptr<MmapFile>> f = MmapFile::OpenReadOnly(path);
-  if (!f.ok() || f.value()->size() < sizeof(uint64_t)) return false;
-  uint64_t magic = 0;
-  std::memcpy(&magic, f.value()->data(), sizeof(magic));
-  return magic == kWholesaleMagic;
-}
-
 StatusOr<std::unique_ptr<SampleBank>> SampleBank::Open(
-    const std::string& path, std::optional<uint64_t> expected_config_hash,
-    Mode mode) {
-  if (!IsWholesaleBankFile(path)) {
-    return OpenMmapFormat(path, expected_config_hash, mode);
-  }
-  // One-shot migration: parse the wholesale blob and write the converted
-  // mmap-format bank next to it. The wholesale original is never touched
-  // (its read path is kept for one release); all subsequent traffic —
-  // including this open — goes through the converted file.
-  const std::string converted = path + ".mmap";
-  StatusOr<std::shared_ptr<MmapFile>> existing =
-      MmapFile::OpenReadOnly(converted);
-  bool have_converted = false;
-  if (existing.ok() && existing.value()->size() >= sizeof(uint64_t)) {
-    uint64_t magic = 0;
-    std::memcpy(&magic, existing.value()->data(), sizeof(magic));
-    have_converted = magic == kBankMagic;
-  }
-  if (!have_converted) {
-    StatusOr<std::string> bytes = ReadFileToString(path);
-    if (!bytes.ok()) return bytes.status();
-    StatusOr<BankImage> image = ParseBankWholesale(bytes.value());
-    if (!image.ok()) return image.status();
-    const BankImage& img = image.value();
-    if (expected_config_hash.has_value() &&
-        img.config_hash != *expected_config_hash) {
-      return Status::Error(
-          "legacy sample bank " + path +
-          " was written under a different configuration; refusing to "
-          "migrate");
-    }
-    std::string out = EncodeHeader(img.config_hash);
-    for (const BankImage::Task& t : img.sections) {
-      out += EncodeFrame(kKindSection, t.key, static_cast<uint32_t>(t.task), 0,
-                         EncodeSectionPayload(t.name, t.shape,
-                                              t.floats.data()));
-    }
-    for (const BankRecord& r : img.records) {
-      out += EncodeFrame(kKindRecord, 0, static_cast<uint32_t>(r.task),
-                         static_cast<uint32_t>(r.slot),
-                         EncodeRecordPayload(r));
-    }
-    Status written = AtomicWriteFile(converted, out);
-    if (!written.ok()) return written;
-  }
-  return OpenMmapFormat(converted, expected_config_hash, mode);
-}
-
-StatusOr<std::unique_ptr<SampleBank>> SampleBank::OpenMmapFormat(
     const std::string& path, std::optional<uint64_t> expected_config_hash,
     Mode mode) {
   auto bank = std::unique_ptr<SampleBank>(new SampleBank());
@@ -468,121 +394,18 @@ Status SampleBank::VerifyAll() const {
 }
 
 void SampleBank::AdviseSequentialAll() const {
-  if (mapping_ == nullptr || !SampleBankMadviseEnabled()) return;
+  if (mapping_ == nullptr) return;
   mapping_->AdviseSequential(0, valid_end_);
 }
 
 void SampleBank::AdviseWillNeed(const BankSection& section) const {
-  if (mapping_ == nullptr || !SampleBankMadviseEnabled()) return;
+  if (mapping_ == nullptr) return;
   mapping_->AdviseWillNeed(section.float_offset,
                            section.float_count * sizeof(float));
 }
 
 uint64_t SampleBank::size() const {
   return writer_ != nullptr ? writer_->size() : valid_end_;
-}
-
-std::string SerializeBankWholesale(const BankImage& image) {
-  std::string payload;
-  AppendPod(&payload, image.config_hash);
-  AppendPod(&payload, static_cast<uint64_t>(image.sections.size()));
-  for (const BankImage::Task& t : image.sections) {
-    AppendPod(&payload, static_cast<int32_t>(t.task));
-    AppendPod(&payload, t.key);
-    AppendString(&payload, t.name);
-    AppendPod(&payload, static_cast<uint32_t>(t.shape.size()));
-    for (int d : t.shape) AppendPod(&payload, static_cast<int32_t>(d));
-    AppendPod(&payload, static_cast<uint64_t>(t.floats.size()));
-    AppendRaw(&payload, t.floats.data(), t.floats.size() * sizeof(float));
-  }
-  AppendPod(&payload, static_cast<uint64_t>(image.records.size()));
-  for (const BankRecord& r : image.records) {
-    AppendPod(&payload, static_cast<int32_t>(r.task));
-    AppendPod(&payload, static_cast<int32_t>(r.slot));
-    AppendPod(&payload, r.signature);
-    AppendPod(&payload, r.r_prime);
-    AppendPod(&payload, static_cast<uint8_t>(r.shared ? 1 : 0));
-    AppendPod(&payload, static_cast<uint8_t>(r.quarantined ? 1 : 0));
-    AppendPod(&payload, static_cast<int32_t>(r.retries));
-    AppendString(&payload, r.note);
-    AppendString(&payload, r.arch);
-  }
-  std::string out;
-  AppendPod(&out, kWholesaleMagic);
-  AppendPod(&out, Crc32(payload.data(), payload.size()));
-  out += payload;
-  return out;
-}
-
-StatusOr<BankImage> ParseBankWholesale(const std::string& bytes) {
-  FrameReader reader(bytes, 0);
-  uint64_t magic = 0;
-  uint32_t crc = 0;
-  if (!reader.Read(&magic) || !reader.Read(&crc)) {
-    return Status::Error("truncated wholesale sample bank");
-  }
-  if (magic != kWholesaleMagic) {
-    return Status::Error("not a wholesale sample bank (bad magic)");
-  }
-  const size_t payload_offset = sizeof(uint64_t) + sizeof(uint32_t);
-  if (Crc32(bytes.data() + payload_offset, bytes.size() - payload_offset) !=
-      crc) {
-    return Status::Error("wholesale sample bank CRC mismatch");
-  }
-  BankImage image;
-  uint64_t num_sections = 0;
-  if (!reader.Read(&image.config_hash) || !reader.Read(&num_sections)) {
-    return Status::Error("truncated wholesale sample bank");
-  }
-  for (uint64_t i = 0; i < num_sections; ++i) {
-    BankImage::Task t;
-    int32_t task = 0;
-    uint32_t ndim = 0;
-    if (!reader.Read(&task) || !reader.Read(&t.key) ||
-        !reader.ReadString(&t.name) || !reader.Read(&ndim) || ndim > 8) {
-      return Status::Error("malformed wholesale section " + std::to_string(i));
-    }
-    t.task = task;
-    for (uint32_t d = 0; d < ndim; ++d) {
-      int32_t dim = 0;
-      if (!reader.Read(&dim) || dim < 0) {
-        return Status::Error("malformed wholesale section " +
-                             std::to_string(i));
-      }
-      t.shape.push_back(dim);
-    }
-    uint64_t count = 0;
-    if (!reader.Read(&count) || !reader.ReadFloats(&t.floats, count)) {
-      return Status::Error("malformed wholesale section " + std::to_string(i));
-    }
-    image.sections.push_back(std::move(t));
-  }
-  uint64_t num_records = 0;
-  if (!reader.Read(&num_records)) {
-    return Status::Error("truncated wholesale sample bank");
-  }
-  for (uint64_t i = 0; i < num_records; ++i) {
-    BankRecord r;
-    int32_t task = 0, slot = 0, retries = 0;
-    uint8_t shared = 0, quarantined = 0;
-    if (!reader.Read(&task) || !reader.Read(&slot) ||
-        !reader.Read(&r.signature) || !reader.Read(&r.r_prime) ||
-        !reader.Read(&shared) || !reader.Read(&quarantined) ||
-        !reader.Read(&retries) || !reader.ReadString(&r.note) ||
-        !reader.ReadString(&r.arch)) {
-      return Status::Error("malformed wholesale record " + std::to_string(i));
-    }
-    r.task = task;
-    r.slot = slot;
-    r.shared = shared != 0;
-    r.quarantined = quarantined != 0;
-    r.retries = retries;
-    image.records.push_back(std::move(r));
-  }
-  if (reader.remaining() != 0) {
-    return Status::Error("trailing bytes in wholesale sample bank");
-  }
-  return image;
 }
 
 }  // namespace autocts

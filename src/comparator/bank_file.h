@@ -13,17 +13,7 @@
 
 namespace autocts {
 
-/// ---- Live toggles (seeded from AUTOCTS_BANK_* via RuntimeConfig) --------
-
-/// Whether sample-fate persistence goes through the mmap bank (default) or
-/// the legacy wholesale manifest. AUTOCTS_BANK_DISABLE=1 flips the default.
-bool SampleBankEnabled();
-void SetSampleBankEnabled(bool enabled);
-
-/// Whether bank readers issue madvise prefetch hints for out-of-core
-/// streaming. AUTOCTS_BANK_NO_MADVISE=1 flips the default.
-bool SampleBankMadviseEnabled();
-void SetSampleBankMadviseEnabled(bool enabled);
+/// ---- Live toggle (seeded from AUTOCTS_BANK_VERIFY via RuntimeConfig) -----
 
 /// Whether opening a bank CRC-verifies every section payload up front.
 /// Off by default — sections are verified on scrub (VerifyAll, the CLI
@@ -34,7 +24,7 @@ void SetSampleBankVerifyOnOpen(bool enabled);
 
 /// ---- On-disk format -----------------------------------------------------
 ///
-/// A sample bank is a 64-byte header followed by a stream of CRC32-framed,
+/// A sample bank (magic "ACTSBNK2") is a 64-byte header followed by a stream of CRC32-framed,
 /// 64-byte-aligned append-only frames (full layout: DESIGN.md
 /// "Memory-mapped sample bank"). Two frame kinds exist: task sections
 /// (task metadata + a raw fp32 preliminary-embedding tensor, padded so the
@@ -89,10 +79,8 @@ class SampleBank {
   /// Opens (kAppend: creating if absent) the bank at `path`. When
   /// `expected_config_hash` is set, a bank written under a different
   /// configuration is rejected; pass nullopt to inspect any bank (CLI).
-  /// A legacy wholesale-serialized bank at `path` is transparently
-  /// migrated: the converted mmap-format file is written next to it at
-  /// `path + ".mmap"` (the wholesale original is never modified) and
-  /// opened instead.
+  /// A file of at least header size that is not an "ACTSBNK2" bank (the
+  /// retired "ACTSBNK1" wholesale blob included) is rejected unmodified.
   static StatusOr<std::unique_ptr<SampleBank>> Open(
       const std::string& path, std::optional<uint64_t> expected_config_hash,
       Mode mode);
@@ -123,8 +111,8 @@ class SampleBank {
   /// CLI runs, and the full-verification mode of open.
   Status VerifyAll() const;
 
-  /// Streaming hints for out-of-core iteration (no-ops when madvise is
-  /// disabled or there is no mapping).
+  /// Streaming hints for out-of-core iteration (no-ops when there is no
+  /// mapping).
   void AdviseSequentialAll() const;
   void AdviseWillNeed(const BankSection& section) const;
 
@@ -143,10 +131,6 @@ class SampleBank {
 
   SampleBank() = default;
 
-  static StatusOr<std::unique_ptr<SampleBank>> OpenMmapFormat(
-      const std::string& path, std::optional<uint64_t> expected_config_hash,
-      Mode mode);
-
   Mode mode_ = Mode::kReadOnly;
   std::string path_;
   uint64_t config_hash_ = 0;
@@ -157,31 +141,6 @@ class SampleBank {
   std::vector<BankRecord> records_;
   std::vector<Frame> frames_;
 };
-
-/// ---- Legacy wholesale format (read path kept for one release) -----------
-
-/// The pre-mmap bank image: everything materialized in memory, serialized
-/// as one CRC-framed blob. The parser stays so existing banks keep
-/// loading (SampleBank::Open migrates them on sight); the serializer
-/// survives only as the migration-test and resume-benchmark baseline.
-struct BankImage {
-  uint64_t config_hash = 0;
-  struct Task {
-    int task = 0;
-    uint64_t key = 0;
-    std::string name;
-    std::vector<int> shape;
-    std::vector<float> floats;
-  };
-  std::vector<Task> sections;
-  std::vector<BankRecord> records;
-};
-
-std::string SerializeBankWholesale(const BankImage& image);
-StatusOr<BankImage> ParseBankWholesale(const std::string& bytes);
-
-/// True when the file at `path` starts with the wholesale magic.
-bool IsWholesaleBankFile(const std::string& path);
 
 }  // namespace autocts
 

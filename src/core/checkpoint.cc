@@ -12,15 +12,10 @@
 namespace autocts {
 namespace {
 
-/// Manifest frame: magic, CRC32 of everything after the CRC field, payload.
-/// v1 ("ACTSCKP1") inlines every sample fate and is rewritten per commit;
-/// v2 ("ACTSCKP2") carries only config hash, stage, and RNG state — fates
-/// and embeddings live in the append-only sample bank next to it. v2 is
-/// written whenever the bank is enabled; v1 manifests still load (their
-/// fates migrate into the bank) and are still written with the bank
-/// disabled.
-constexpr uint64_t kManifestMagicV1 = 0x41435453434b5031ull;  // "ACTSCKP1"
-constexpr uint64_t kManifestMagicV2 = 0x41435453434b5032ull;  // "ACTSCKP2"
+/// Manifest frame: magic, CRC32 of everything after the CRC field, then
+/// config hash, stage, and RNG state. Fates and embeddings live in the
+/// append-only sample bank next to it.
+constexpr uint64_t kManifestMagic = 0x41435453434b5032ull;  // "ACTSCKP2"
 
 }  // namespace
 
@@ -66,8 +61,6 @@ Status PipelineCheckpoint::Load() {
   // bank verified, so a rejected file leaves this object unchanged.
   uint32_t stage = 0;
   std::string rng_state;
-  bool manifest_is_v1 = false;
-  std::map<std::pair<int, int>, SampleFate> manifest_fates;
   if (have_manifest) {
     const std::string& bytes = contents.value();
     FrameReader reader(bytes, 0);
@@ -76,10 +69,9 @@ Status PipelineCheckpoint::Load() {
     if (!reader.Read(&magic) || !reader.Read(&crc)) {
       return Status::Error("truncated checkpoint manifest " + path);
     }
-    if (magic != kManifestMagicV1 && magic != kManifestMagicV2) {
+    if (magic != kManifestMagic) {
       return Status::Error("bad magic in checkpoint manifest " + path);
     }
-    manifest_is_v1 = magic == kManifestMagicV1;
     const size_t payload_offset = sizeof(uint64_t) + sizeof(uint32_t);
     if (Crc32(bytes.data() + payload_offset, bytes.size() - payload_offset) !=
         crc) {
@@ -100,40 +92,19 @@ Status PipelineCheckpoint::Load() {
       return Status::Error("checkpoint manifest " + path +
                            " records unknown stage " + std::to_string(stage));
     }
-    if (manifest_is_v1) {
-      uint64_t num_fates = 0;
-      if (!reader.Read(&num_fates)) {
-        return Status::Error("truncated checkpoint manifest " + path);
-      }
-      for (uint64_t i = 0; i < num_fates; ++i) {
-        int32_t task = 0, slot = 0, retries = 0;
-        uint8_t quarantined = 0;
-        SampleFate fate;
-        if (!reader.Read(&task) || !reader.Read(&slot) ||
-            !reader.Read(&fate.signature) || !reader.Read(&fate.r_prime) ||
-            !reader.Read(&quarantined) || !reader.Read(&retries) ||
-            !reader.ReadString(&fate.note)) {
-          return Status::Error("truncated checkpoint manifest " + path +
-                               " (sample record " + std::to_string(i) + ")");
-        }
-        fate.quarantined = quarantined != 0;
-        fate.retries = retries;
-        manifest_fates[{task, slot}] = std::move(fate);
-      }
-    }
     if (reader.remaining() != 0) {
       return Status::Error(std::to_string(reader.remaining()) +
                            " trailing bytes in checkpoint manifest " + path);
     }
   }
 
-  // The bank is authoritative for fates in v2 mode; open it (append mode,
-  // recovering a torn tail) before mutating anything so bank corruption is
-  // all-or-nothing too.
+  // The bank holds the fates; open it (append mode, recovering a torn
+  // tail) before mutating anything so bank corruption is all-or-nothing
+  // too.
   std::unique_ptr<SampleBank> bank;
   std::map<std::pair<int, int>, SampleFate> bank_fates;
   std::error_code ec;
-  if (SampleBankEnabled() && std::filesystem::exists(BankPath(), ec)) {
+  if (std::filesystem::exists(BankPath(), ec)) {
     StatusOr<std::unique_ptr<SampleBank>> opened =
         SampleBank::Open(BankPath(), config_hash_, SampleBank::Mode::kAppend);
     if (!opened.ok()) return opened.status();
@@ -155,48 +126,21 @@ Status PipelineCheckpoint::Load() {
 
   stage_done_ = static_cast<int>(stage);
   rng_state_ = std::move(rng_state);
-  fates_ = std::move(manifest_fates);
-  for (const auto& [key, fate] : bank_fates) fates_[key] = fate;
+  fates_ = std::move(bank_fates);
   bank_ = std::move(bank);
-
-  // One-shot v1 migration: fates that only the legacy manifest knows move
-  // into the bank now, so the next resume reads them from the mapping and
-  // this manifest can be rewritten fate-free at the next stage commit.
-  // Fates the bank already holds (a previous partially-completed
-  // migration) are not re-appended.
-  if (manifest_is_v1 && SampleBankEnabled()) {
-    for (const auto& [key, fate] : fates_) {
-      if (bank_fates.find(key) != bank_fates.end()) continue;
-      AppendFateToBank(key.first, key.second, fate);
-    }
-  }
   return Status::Ok();
 }
 
 void PipelineCheckpoint::WriteManifest() {
-  // With the bank enabled, the manifest carries only stage progress — the
-  // fates live in the append-only bank, so this write is O(1) instead of
-  // O(samples). The legacy mode inlines every fate (v1 layout).
-  const bool v1 = !SampleBankEnabled();
+  // The manifest carries only stage progress — the fates live in the
+  // append-only bank, so this write is O(1) instead of O(samples).
   std::string payload;
   AppendPod(&payload, config_hash_);
   AppendPod(&payload, static_cast<uint32_t>(stage_done_));
   AppendString(&payload, rng_state_);
-  if (v1) {
-    AppendPod(&payload, static_cast<uint64_t>(fates_.size()));
-    for (const auto& [key, fate] : fates_) {
-      AppendPod(&payload, static_cast<int32_t>(key.first));
-      AppendPod(&payload, static_cast<int32_t>(key.second));
-      AppendPod(&payload, fate.signature);
-      AppendPod(&payload, fate.r_prime);
-      AppendPod(&payload, static_cast<uint8_t>(fate.quarantined ? 1 : 0));
-      AppendPod(&payload, static_cast<int32_t>(fate.retries));
-      AppendString(&payload, fate.note);
-    }
-  }
   std::string frame;
   frame.reserve(sizeof(uint64_t) + sizeof(uint32_t) + payload.size());
-  AppendPod(&frame, v1 ? kManifestMagicV1 : kManifestMagicV2);
+  AppendPod(&frame, kManifestMagic);
   AppendPod(&frame, Crc32(payload.data(), payload.size()));
   frame += payload;
   ++robustness_.checkpoint_writes;
@@ -261,7 +205,7 @@ bool PipelineCheckpoint::Restore(int task, int slot, LabeledSample* sample) {
   auto it = fates_.find({task, slot});
   if (it == fates_.end()) return false;
   // The caller pre-filled arch_hyper/shared from its deterministic serial
-  // pass; a signature mismatch means the manifest belongs to a different
+  // pass; a signature mismatch means the fate belongs to a different
   // draw (stale file, edited options) — retrain rather than mislabel.
   if (it->second.signature != SampleSignature(*sample)) return false;
   sample->r_prime = it->second.r_prime;
@@ -289,10 +233,6 @@ void PipelineCheckpoint::Commit(int task, int slot,
   auto it = fates_.find({task, slot});
   if (it != fates_.end() && SameFate(it->second, fate)) return;
   fates_[{task, slot}] = std::move(fate);
-  if (!SampleBankEnabled()) {
-    WriteManifest();
-    return;
-  }
   AppendFateToBank(task, slot, fates_[{task, slot}]);
 }
 
@@ -310,7 +250,6 @@ bool PipelineCheckpoint::RestoreTaskSection(int task, uint64_t key,
 void PipelineCheckpoint::CommitTaskSection(int task, uint64_t key,
                                            const ForecastTask& forecast_task,
                                            const Tensor& preliminary) {
-  if (!SampleBankEnabled()) return;
   ++robustness_.checkpoint_writes;
   if (!EnsureBankWriter()) {
     ++robustness_.checkpoint_write_failures;

@@ -44,10 +44,6 @@ enum PipelineStage : int {
 /// of rewriting the whole manifest — and the bank's torn-tail recovery
 /// keeps a kill at any instant from losing completed work.
 ///
-/// With the bank disabled (AUTOCTS_BANK_DISABLE=1) the manifest falls back
-/// to the legacy v1 layout that inlines every fate; v1 manifests load
-/// either way and migrate their fates into the bank on the next resume.
-///
 /// Doubles as the SampleBankHook for CollectSamples: Restore() answers
 /// per-sample "already labeled?" queries from the loaded state (after
 /// verifying the sample's signature still matches), Commit() appends each
@@ -89,7 +85,7 @@ class PipelineCheckpoint : public SampleBankHook {
   /// Folds a parameter-file save outcome into the counters.
   void NoteArtifactWrite(const Status& status);
 
-  /// Signature of a sample as stored in the manifest — a stable hash of
+  /// Signature of a sample as stored in the bank — a stable hash of
   /// the arch-hyper's canonical string and the shared flag. Exposed so
   /// tests can forge mismatches.
   static uint64_t SampleSignature(const LabeledSample& sample);
@@ -103,8 +99,8 @@ class PipelineCheckpoint : public SampleBankHook {
                          const ForecastTask& forecast_task,
                          const Tensor& preliminary) override;
 
-  /// The open sample bank (null before Load, with the bank disabled, or
-  /// when no bank exists yet). Exposed for streaming hints and inspection.
+  /// The open sample bank (null before Load or when no bank exists
+  /// yet). Exposed for streaming hints and inspection.
   const SampleBank* bank() const { return bank_.get(); }
 
   /// Checkpoint-side counters: manifest writes attempted/failed and
@@ -113,7 +109,7 @@ class PipelineCheckpoint : public SampleBankHook {
 
  private:
   /// One labeled sample's persisted fate. `shared` and `arch` only feed
-  /// the bank record (inspection); the v1 manifest stores neither.
+  /// the bank record (inspection).
   struct SampleFate {
     uint64_t signature = 0;
     double r_prime = 0.0;

@@ -12,14 +12,11 @@
 namespace autocts {
 namespace {
 
-/// Legacy frame (PR 0): magic, count, tensors — no checksum, and a reader
-/// that trusted the stream. Still readable for old checkpoints.
-constexpr uint64_t kMagicV1 = 0x4155544f43545321ull;  // "AUTOCTS!"
-/// Current frame: magic, CRC32 of everything after the CRC field, count,
-/// tensors. Written atomically (tmp + rename).
-constexpr uint64_t kMagicV2 = 0x4155544f43545332ull;  // "AUTOCTS2"
+/// The parameter frame: magic, CRC32 of everything after the CRC field,
+/// count, tensors. Written atomically (tmp + rename).
+constexpr uint64_t kMagic = 0x4155544f43545332ull;  // "AUTOCTS2"
 
-/// Parses the tensor list of either frame version into staged buffers.
+/// Parses the tensor list of a frame into staged buffers.
 /// Validates count/shape against the module and rejects both truncation
 /// (reader runs dry) and trailing garbage (bytes left after the last
 /// tensor — the classic symptom of a torn or concatenated write).
@@ -77,7 +74,7 @@ Status SaveParameters(const Module& module, const std::string& path) {
   }
   std::string frame;
   frame.reserve(sizeof(uint64_t) + sizeof(uint32_t) + payload.size());
-  AppendPod(&frame, kMagicV2);
+  AppendPod(&frame, kMagic);
   AppendPod(&frame, Crc32(payload.data(), payload.size()));
   frame += payload;
   return AtomicWriteFile(path, frame);
@@ -92,30 +89,24 @@ Status LoadParameters(Module* module, const std::string& path) {
   if (!header.Read(&magic)) {
     return Status::Error("truncated checkpoint " + path + " (no magic)");
   }
-  std::vector<Tensor> params = module->Parameters();
-  std::vector<std::vector<float>> staged;
-  if (magic == kMagicV2) {
-    uint32_t crc = 0;
-    if (!header.Read(&crc)) {
-      return Status::Error("truncated checkpoint " + path + " (no CRC)");
-    }
-    const size_t payload_offset = sizeof(uint64_t) + sizeof(uint32_t);
-    uint32_t actual = Crc32(bytes.data() + payload_offset,
-                            bytes.size() - payload_offset);
-    if (actual != crc) {
-      return Status::Error("CRC mismatch in " + path +
-                           " (corrupt or torn checkpoint)");
-    }
-    Status s = ParseTensors(bytes, payload_offset, params, path, &staged);
-    if (!s.ok()) return s;
-  } else if (magic == kMagicV1) {
-    // Legacy frame: no checksum to verify, but the strict parse still
-    // rejects truncation, shape drift, and trailing garbage.
-    Status s = ParseTensors(bytes, sizeof(uint64_t), params, path, &staged);
-    if (!s.ok()) return s;
-  } else {
+  if (magic != kMagic) {
     return Status::Error("bad checkpoint magic in " + path);
   }
+  uint32_t crc = 0;
+  if (!header.Read(&crc)) {
+    return Status::Error("truncated checkpoint " + path + " (no CRC)");
+  }
+  const size_t payload_offset = sizeof(uint64_t) + sizeof(uint32_t);
+  uint32_t actual =
+      Crc32(bytes.data() + payload_offset, bytes.size() - payload_offset);
+  if (actual != crc) {
+    return Status::Error("CRC mismatch in " + path +
+                         " (corrupt or torn checkpoint)");
+  }
+  std::vector<Tensor> params = module->Parameters();
+  std::vector<std::vector<float>> staged;
+  Status s = ParseTensors(bytes, payload_offset, params, path, &staged);
+  if (!s.ok()) return s;
   // All-or-nothing commit: nothing above touched the module.
   for (size_t i = 0; i < params.size(); ++i) {
     params[i].data() = std::move(staged[i]);

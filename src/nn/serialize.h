@@ -18,8 +18,7 @@ Status SaveParameters(const Module& module, const std::string& path);
 
 /// Restores parameters written by SaveParameters. Fails — without touching
 /// the module at all — on magic/count/shape mismatch, CRC mismatch,
-/// truncation, or trailing garbage. Checkpoints from the pre-CRC frame
-/// (old magic) still load, minus the checksum verification.
+/// truncation, or trailing garbage.
 Status LoadParameters(Module* module, const std::string& path);
 
 }  // namespace autocts

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -136,6 +137,15 @@ Status ParseCsvWindow(const std::string& body, RecommendRequest* request) {
       char* end = nullptr;
       const float v = std::strtof(p, &end);
       if (end == p) return Status::Error("unparseable CSV value in window");
+      // strtof accepts "nan"/"inf" and overflows "1e40" to inf; any of them
+      // would poison the task embedding, so reject with a locatable message.
+      if (!std::isfinite(v)) {
+        const std::string token(p, static_cast<size_t>(end - p));
+        return Status::Error("non-finite value '" + token +
+                             "' in CSV window at row " +
+                             std::to_string(request->num_series) +
+                             ", column " + std::to_string(steps));
+      }
       request->window.push_back(v);
       ++steps;
       p = end;

@@ -894,11 +894,6 @@ StatusOr<stream::StreamModel> RecommendationService::ResearchModel(
 }
 
 StatusOr<uint64_t> RecommendationService::StreamOpen(
-    const RecommendRequest& request) {
-  return StreamOpen(request, stream::StreamOptions::FromConfig(config_));
-}
-
-StatusOr<uint64_t> RecommendationService::StreamOpen(
     const RecommendRequest& request, const stream::StreamOptions& knobs) {
   {
     std::lock_guard<std::mutex> lock(queue_mu_);

@@ -174,13 +174,10 @@ class RecommendationService {
   /// forecasting and detector warm-up start hot, and returns the session
   /// id. Drift-triggered re-search re-enters this service's own rank+train
   /// pipeline on a background thread. The service must be Start()ed; the
-  /// window must afford training (num_steps >= p + q + 19). Detector and
-  /// recovery knobs come from the AUTOCTS_STREAM_* environment.
-  StatusOr<uint64_t> StreamOpen(const RecommendRequest& request);
-  /// Same, with explicit detector/recovery knobs (num_series, p, adjacency,
-  /// history, and seed are still derived from the request). The CLI's
-  /// --no-recovery / --ph-* flags and the degraded-baseline bench arm use
-  /// this; the one-argument form reads the environment snapshot.
+  /// window must afford training (num_steps >= p + q + 19). `knobs` carries
+  /// the detector/recovery settings (num_series, p, adjacency, history, and
+  /// seed are derived from the request); the CLI's --no-recovery / --ph-*
+  /// flags and the degraded-baseline bench arm set them.
   StatusOr<uint64_t> StreamOpen(const RecommendRequest& request,
                                 const stream::StreamOptions& knobs);
 

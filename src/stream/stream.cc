@@ -75,20 +75,6 @@ uint64_t HashFloats(const std::vector<float>& v) {
 
 }  // namespace
 
-StreamOptions StreamOptions::FromConfig(const RuntimeConfig& config) {
-  StreamOptions o;
-  o.warmup = config.stream_warmup;
-  o.ph_delta = config.stream_ph_delta;
-  o.ph_lambda = config.stream_ph_lambda;
-  o.error_window = config.stream_error_window;
-  o.recovery = config.stream_recovery;
-  o.research_retries = config.stream_research_retries;
-  o.research_backoff = config.stream_research_backoff;
-  o.research_deadline = config.stream_research_deadline;
-  o.research_delay = config.stream_research_delay;
-  return o;
-}
-
 StreamEngine::StreamEngine(StreamOptions options, StreamModel initial,
                            Researcher researcher)
     : options_(std::move(options)),

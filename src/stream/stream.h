@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "common/runtime_config.h"
 #include "common/status.h"
 #include "data/cts_dataset.h"
 #include "model/forecaster.h"
@@ -42,8 +41,8 @@ using Researcher =
     std::function<StatusOr<StreamModel>(const CtsDatasetPtr& recent,
                                         uint64_t seed)>;
 
-/// Knobs of one streaming session. Detector and recovery defaults come
-/// from the AUTOCTS_STREAM_* environment via FromConfig.
+/// Knobs of one streaming session. Callers start from the defaults below
+/// and override fields (the CLI maps its --warmup/--ph-*/... flags here).
 struct StreamOptions {
   int num_series = 0;  ///< N (required).
   int p = 12;          ///< Input window length.
@@ -76,9 +75,6 @@ struct StreamOptions {
   /// history ring refill with post-drift ticks first (size it so
   /// delay ≈ history keeps the snapshot fresh). 0 = launch immediately.
   int research_delay = 0;
-
-  /// Detector + recovery knobs from a RuntimeConfig snapshot.
-  static StreamOptions FromConfig(const RuntimeConfig& config);
 };
 
 /// What one Push produced.

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/parallel.h"
-#include "common/runtime_config.h"
 #include "tensor/buffer_pool.h"
 #include "tensor/ops.h"
 #include "tensor/plan.h"
@@ -36,7 +35,7 @@ inline v8 Splat(float x) { return v8{x, x, x, x, x, x, x, x}; }
 
 constexpr int64_t kElemGrain = kParallelGrainWork;
 
-std::atomic<bool> g_fused_enabled{GlobalRuntimeConfig().fused_kernels};
+std::atomic<bool> g_fused_enabled{true};
 
 /// Rows x n geometry of a tensor normalized/activated over its last dim.
 void LastAxisGeometry(const Tensor& x, int64_t* rows, int* n) {

@@ -37,9 +37,8 @@ namespace autocts {
 /// matches the corresponding UnaryOp in tensor/ops.cc exactly.
 enum class FusedAct { kRelu, kLeakyRelu, kSigmoid, kTanh };
 
-/// Process-wide switch. On by default; set AUTOCTS_NO_FUSED=1 (or call
-/// SetFusedKernelsEnabled(false)) to route every Fused* call through its
-/// op-graph Reference composition instead — the A/B the ST-block training
+/// Process-wide switch. On by default; SetFusedKernelsEnabled(false) routes
+/// every Fused* call through its op-graph Reference composition instead — the A/B the ST-block training
 /// benchmark measures. Fused and unfused paths are bit-identical, so the
 /// toggle can never change results, only speed.
 bool FusedKernelsEnabled();

@@ -12,7 +12,6 @@
 
 #include "common/guard.h"
 #include "common/parallel.h"
-#include "common/runtime_config.h"
 #include "tensor/buffer_pool.h"
 #include "tensor/fused.h"
 
@@ -22,7 +21,7 @@ namespace plan {
 
 namespace {
 
-std::atomic<bool> g_plans_enabled{GlobalRuntimeConfig().step_plans};
+std::atomic<bool> g_plans_enabled{true};
 
 std::atomic<uint64_t> g_captures{0};
 std::atomic<uint64_t> g_replays{0};

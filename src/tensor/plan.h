@@ -46,9 +46,8 @@ namespace autocts {
 namespace plan {
 
 /// Whether step plans are captured/replayed at all. Defaults to on;
-/// AUTOCTS_NO_PLAN=1 in the environment disables them (every step then runs
-/// eagerly — the A/B knob for the plan benchmark). SetPlansEnabled overrides
-/// the environment for the current process.
+/// SetPlansEnabled(false) disables them for the current process (every step
+/// then runs eagerly — the A/B knob for the plan benchmark).
 bool PlansEnabled();
 void SetPlansEnabled(bool enabled);
 

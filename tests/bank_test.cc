@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/binio.h"
 #include "common/crc32.h"
 #include "common/fault.h"
 #include "common/fileio.h"
@@ -36,8 +37,6 @@ class BankFileTest : public ::testing::Test {
  protected:
   void TearDown() override {
     DisarmAllFaults();
-    SetSampleBankEnabled(true);
-    SetSampleBankMadviseEnabled(true);
     SetSampleBankVerifyOnOpen(false);
   }
 
@@ -258,6 +257,38 @@ TEST_F(BankFileTest, BadMagicAndHeaderCrcRejected) {
   auto open = SampleBank::Open(path, 5, SampleBank::Mode::kReadOnly);
   ASSERT_FALSE(open.ok());
   EXPECT_NE(open.status().message().find("CRC"), std::string::npos);
+
+  // A well-formed bank in the retired "ACTSBNK1" wholesale layout (magic,
+  // payload CRC, config hash, sections, records) is rejected in both modes
+  // and left untouched: no conversion, no sibling file.
+  std::string payload;
+  AppendPod(&payload, uint64_t{5});  // Config hash.
+  AppendPod(&payload, uint64_t{0});  // Sections.
+  AppendPod(&payload, uint64_t{1});  // Records.
+  AppendPod(&payload, int32_t{0});   // Task.
+  AppendPod(&payload, int32_t{0});   // Slot.
+  AppendPod(&payload, uint64_t{0x1234});
+  AppendPod(&payload, 0.5);
+  AppendPod(&payload, uint8_t{1});   // Shared.
+  AppendPod(&payload, uint8_t{0});   // Quarantined.
+  AppendPod(&payload, int32_t{0});   // Retries.
+  AppendString(&payload, "");
+  AppendString(&payload, "B2C5H32");
+  std::string wholesale;
+  AppendPod(&wholesale, uint64_t{0x41435453424e4b31ull});  // "ACTSBNK1"
+  AppendPod(&wholesale, Crc32(payload.data(), payload.size()));
+  wholesale += payload;
+  ASSERT_GE(wholesale.size(), 64u);
+  ASSERT_TRUE(AtomicWriteFile(path, wholesale).ok());
+  for (SampleBank::Mode mode :
+       {SampleBank::Mode::kReadOnly, SampleBank::Mode::kAppend}) {
+    auto legacy = SampleBank::Open(path, 5, mode);
+    ASSERT_FALSE(legacy.ok());
+    EXPECT_NE(legacy.status().message().find("magic"), std::string::npos)
+        << legacy.status().message();
+    EXPECT_EQ(ReadFileToString(path).value(), wholesale);
+    EXPECT_FALSE(std::filesystem::exists(path + ".mmap"));
+  }
 }
 
 TEST_F(BankFileTest, ConfigHashMismatchRejected) {

@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/binio.h"
+#include "common/crc32.h"
 #include "common/fileio.h"
 #include "common/guard.h"
 #include "comparator/bank_file.h"
@@ -35,7 +37,6 @@ class FaultTest : public ::testing::Test {
   void TearDown() override {
     DisarmAllFaults();
     SetGuardsEnabled(true);
-    SetSampleBankEnabled(true);
   }
 };
 
@@ -278,6 +279,27 @@ TEST_F(CheckpointResumeTest, CorruptManifestRejectedWithoutMutation) {
     EXPECT_FALSE(s.ok());
     EXPECT_NE(s.message().find("CRC"), std::string::npos) << s.message();
     // Rejection left the in-memory state untouched.
+    EXPECT_EQ(reader.stage_done(), kStageNone);
+    LabeledSample probe;
+    EXPECT_FALSE(reader.Restore(0, 0, &probe));
+  }
+  // A well-formed manifest in the retired "ACTSCKP1" layout (fates inlined
+  // after the RNG state) is rejected by magic, the same way.
+  {
+    PipelineCheckpoint reader(dir, 42);
+    std::string payload;
+    AppendPod(&payload, uint64_t{42});  // Config hash.
+    AppendPod(&payload, static_cast<uint32_t>(kStageSamples));
+    AppendString(&payload, "");         // RNG state.
+    AppendPod(&payload, uint64_t{0});   // Inlined fates.
+    std::string v1;
+    AppendPod(&v1, uint64_t{0x41435453434b5031ull});  // "ACTSCKP1"
+    AppendPod(&v1, Crc32(payload.data(), payload.size()));
+    v1 += payload;
+    ASSERT_TRUE(AtomicWriteFile(reader.ManifestPath(), v1).ok());
+    Status s = reader.Load();
+    EXPECT_FALSE(s.ok());
+    EXPECT_NE(s.message().find("magic"), std::string::npos) << s.message();
     EXPECT_EQ(reader.stage_done(), kStageNone);
     LabeledSample probe;
     EXPECT_FALSE(reader.Restore(0, 0, &probe));
@@ -542,39 +564,6 @@ TEST_F(CheckpointResumeTest, TornBankTailRecoveredOnResume) {
   ExpectBanksIdentical(baseline.bank, fp.bank);
   EXPECT_TRUE(BitEqual(baseline.encoder_params, fp.encoder_params));
   EXPECT_TRUE(BitEqual(baseline.tahc_params, fp.tahc_params));
-}
-
-TEST_F(CheckpointResumeTest, LegacyV1ManifestFatesMigrateIntoBank) {
-  // A run checkpointed with the bank disabled writes the legacy v1
-  // manifest with every fate inlined. Re-enabling the bank and resuming
-  // must restore all of it, migrate the fates into a fresh bank file, and
-  // change nothing about the math.
-  std::string dir = FreshDir("v1_migrate");
-  AutoCtsOptions opts = TinyOptions(1);
-  opts.checkpoint.dir = dir;
-  opts.checkpoint.resume = true;
-  SetSampleBankEnabled(false);
-  {
-    AutoCtsPlusPlus fw(opts);
-    fw.Pretrain(TinySourceTasks());
-  }
-  std::string bank_path = dir + "/pipeline.bank";
-  EXPECT_FALSE(std::filesystem::exists(bank_path));
-  SetSampleBankEnabled(true);
-
-  AutoCtsPlusPlus resumed(opts);
-  StatusOr<PretrainReport> report = resumed.TryPretrain(TinySourceTasks());
-  ASSERT_TRUE(report.ok()) << report.status().message();
-  EXPECT_EQ(report.value().robustness.resumed_samples, kPendingSamples);
-  PipelineFingerprint baseline = RunUninterrupted(1);
-  ExpectBanksIdentical(baseline.bank, Fingerprint(&resumed).bank);
-
-  // The migrated fates are now in the bank, readable on their own.
-  auto bank =
-      SampleBank::Open(bank_path, std::nullopt, SampleBank::Mode::kReadOnly);
-  ASSERT_TRUE(bank.ok()) << bank.status().message();
-  EXPECT_EQ(bank.value()->records().size(),
-            static_cast<size_t>(kPendingSamples));
 }
 
 TEST_F(CheckpointResumeTest, ResumeWithCorruptManifestFailsCleanly) {

@@ -121,7 +121,7 @@ TEST(PlanTrainTest, ReplayThreadCountInvariant) {
 }
 
 TEST(PlanTrainTest, ReplayBitExactWithFusedKernelsDisabled) {
-  // AUTOCTS_NO_FUSED interop: the op-graph reference path records and
+  // Fusion-off interop: the op-graph reference path records and
   // replays too, and stays bit-identical to its eager self.
   ExpectSameParams(
       TrainedParams(/*plans_on=*/true, /*threads=*/1, /*fused=*/false),
@@ -280,13 +280,13 @@ TEST(PlanStepTest, InvalidationOnShapeAndKnobChanges) {
   Tensor x_tail = Tensor::Randn({3, 6}, &rng2);
   Tensor t_tail = Tensor::Randn({3, 6}, &rng2);
   EXPECT_FALSE(plan.MatchesInputs({x_tail, t_tail}));
-  // Fused-kernel knob flip (AUTOCTS_NO_FUSED): recorded thunks are the
+  // Fused-kernel toggle flip: recorded thunks are the
   // fused kernels, so the plan no longer represents the eager step.
   SetFusedKernelsEnabled(false);
   EXPECT_FALSE(plan.MatchesInputs({x, target}));
   SetFusedKernelsEnabled(true);
   EXPECT_TRUE(plan.MatchesInputs({x, target}));
-  // Plans disabled at runtime (AUTOCTS_NO_PLAN).
+  // Plans disabled at runtime.
   plan::SetPlansEnabled(false);
   EXPECT_FALSE(plan.MatchesInputs({x, target}));
   plan::SetPlansEnabled(true);

@@ -5,6 +5,7 @@
 #include "common/runtime_config.h"
 
 #include <cstdlib>
+#include <iterator>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -46,17 +47,11 @@ class ScopedEnv {
 TEST(RuntimeConfigTest, DefaultsWhenUnset) {
   unsetenv("AUTOCTS_NUM_THREADS");
   unsetenv("AUTOCTS_POOL_MB");
-  unsetenv("AUTOCTS_NO_FUSED");
-  unsetenv("AUTOCTS_NO_PLAN");
-  unsetenv("AUTOCTS_NO_GUARDS");
   unsetenv("AUTOCTS_BACKEND");
   unsetenv("AUTOCTS_COMPARATOR_PRECISION");
   RuntimeConfig cfg = RuntimeConfig::FromEnv();
   EXPECT_EQ(cfg.num_threads, 0);
   EXPECT_EQ(cfg.pool_capacity_bytes, uint64_t{256} << 20);
-  EXPECT_TRUE(cfg.fused_kernels);
-  EXPECT_TRUE(cfg.step_plans);
-  EXPECT_TRUE(cfg.guards);
   EXPECT_TRUE(cfg.backend.empty());
   EXPECT_EQ(cfg.comparator_precision, ComparatorPrecision::kFp32);
 }
@@ -64,17 +59,11 @@ TEST(RuntimeConfigTest, DefaultsWhenUnset) {
 TEST(RuntimeConfigTest, ParsesEveryKnob) {
   ScopedEnv threads("AUTOCTS_NUM_THREADS", "3");
   ScopedEnv pool("AUTOCTS_POOL_MB", "64");
-  ScopedEnv fused("AUTOCTS_NO_FUSED", "1");
-  ScopedEnv plan("AUTOCTS_NO_PLAN", "1");
-  ScopedEnv guards("AUTOCTS_NO_GUARDS", "1");
   ScopedEnv backend("AUTOCTS_BACKEND", "scalar");
   ScopedEnv precision("AUTOCTS_COMPARATOR_PRECISION", "int8");
   RuntimeConfig cfg = RuntimeConfig::FromEnv();
   EXPECT_EQ(cfg.num_threads, 3);
   EXPECT_EQ(cfg.pool_capacity_bytes, uint64_t{64} << 20);
-  EXPECT_FALSE(cfg.fused_kernels);
-  EXPECT_FALSE(cfg.step_plans);
-  EXPECT_FALSE(cfg.guards);
   EXPECT_EQ(cfg.backend, "scalar");
   EXPECT_EQ(cfg.comparator_precision, ComparatorPrecision::kInt8);
 }
@@ -130,81 +119,6 @@ TEST(RuntimeConfigTest, ParsesServeKnobs) {
       << json;
 }
 
-TEST(RuntimeConfigTest, ParsesStreamKnobs) {
-  {
-    unsetenv("AUTOCTS_STREAM_WARMUP");
-    unsetenv("AUTOCTS_STREAM_PH_DELTA");
-    unsetenv("AUTOCTS_STREAM_PH_LAMBDA");
-    unsetenv("AUTOCTS_STREAM_ERROR_WINDOW");
-    unsetenv("AUTOCTS_STREAM_RESEARCH_RETRIES");
-    unsetenv("AUTOCTS_STREAM_RESEARCH_BACKOFF");
-    unsetenv("AUTOCTS_STREAM_RESEARCH_DEADLINE");
-    unsetenv("AUTOCTS_STREAM_RESEARCH_DELAY");
-    unsetenv("AUTOCTS_STREAM_NO_RECOVERY");
-    RuntimeConfig cfg = RuntimeConfig::FromEnv();
-    EXPECT_EQ(cfg.stream_warmup, 64);
-    EXPECT_EQ(cfg.stream_research_delay, 0);
-    EXPECT_FLOAT_EQ(cfg.stream_ph_delta, 0.05f);
-    EXPECT_FLOAT_EQ(cfg.stream_ph_lambda, 8.0f);
-    EXPECT_EQ(cfg.stream_error_window, 128);
-    EXPECT_EQ(cfg.stream_research_retries, 2);
-    EXPECT_EQ(cfg.stream_research_backoff, 16);
-    EXPECT_EQ(cfg.stream_research_deadline, 32);
-    EXPECT_TRUE(cfg.stream_recovery);
-  }
-  {
-    ScopedEnv warmup("AUTOCTS_STREAM_WARMUP", "16");
-    ScopedEnv delta("AUTOCTS_STREAM_PH_DELTA", "0.1");
-    ScopedEnv lambda("AUTOCTS_STREAM_PH_LAMBDA", "12.5");
-    ScopedEnv window("AUTOCTS_STREAM_ERROR_WINDOW", "32");
-    ScopedEnv retries("AUTOCTS_STREAM_RESEARCH_RETRIES", "0");
-    ScopedEnv backoff("AUTOCTS_STREAM_RESEARCH_BACKOFF", "8");
-    ScopedEnv deadline("AUTOCTS_STREAM_RESEARCH_DEADLINE", "10");
-    ScopedEnv delay("AUTOCTS_STREAM_RESEARCH_DELAY", "48");
-    ScopedEnv no_recovery("AUTOCTS_STREAM_NO_RECOVERY", "1");
-    RuntimeConfig cfg = RuntimeConfig::FromEnv();
-    EXPECT_EQ(cfg.stream_research_delay, 48);
-    EXPECT_EQ(cfg.stream_warmup, 16);
-    EXPECT_FLOAT_EQ(cfg.stream_ph_delta, 0.1f);
-    EXPECT_FLOAT_EQ(cfg.stream_ph_lambda, 12.5f);
-    EXPECT_EQ(cfg.stream_error_window, 32);
-    // Retries = 0 is meaningful: one attempt, no retry.
-    EXPECT_EQ(cfg.stream_research_retries, 0);
-    EXPECT_EQ(cfg.stream_research_backoff, 8);
-    EXPECT_EQ(cfg.stream_research_deadline, 10);
-    EXPECT_FALSE(cfg.stream_recovery);
-  }
-  {
-    // Invalid values keep defaults; NO_RECOVERY follows the disable-flag
-    // truthiness rules ("0"/"" stay enabled).
-    ScopedEnv warmup("AUTOCTS_STREAM_WARMUP", "-3");
-    ScopedEnv delta("AUTOCTS_STREAM_PH_DELTA", "abc");
-    ScopedEnv lambda("AUTOCTS_STREAM_PH_LAMBDA", "0");
-    ScopedEnv window("AUTOCTS_STREAM_ERROR_WINDOW", "nope");
-    ScopedEnv retries("AUTOCTS_STREAM_RESEARCH_RETRIES", "-1");
-    ScopedEnv backoff("AUTOCTS_STREAM_RESEARCH_BACKOFF", "0");
-    ScopedEnv deadline("AUTOCTS_STREAM_RESEARCH_DEADLINE", "-7");
-    ScopedEnv delay("AUTOCTS_STREAM_RESEARCH_DELAY", "-2");
-    ScopedEnv no_recovery("AUTOCTS_STREAM_NO_RECOVERY", "0");
-    RuntimeConfig cfg = RuntimeConfig::FromEnv();
-    EXPECT_EQ(cfg.stream_research_delay, 0);
-    EXPECT_EQ(cfg.stream_warmup, 64);
-    EXPECT_FLOAT_EQ(cfg.stream_ph_delta, 0.05f);
-    EXPECT_FLOAT_EQ(cfg.stream_ph_lambda, 8.0f);
-    EXPECT_EQ(cfg.stream_error_window, 128);
-    EXPECT_EQ(cfg.stream_research_retries, 2);
-    EXPECT_EQ(cfg.stream_research_backoff, 16);
-    EXPECT_EQ(cfg.stream_research_deadline, 32);
-    EXPECT_TRUE(cfg.stream_recovery);
-  }
-  // print-config surfaces the streaming knobs.
-  RuntimeConfig cfg;
-  const std::string json = cfg.ToJson();
-  EXPECT_NE(json.find("\"stream_warmup\": 64"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"stream_ph_lambda\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"stream_recovery\": true"), std::string::npos) << json;
-}
-
 TEST(RuntimeConfigTest, ParsesShardKnobs) {
   {
     unsetenv("AUTOCTS_SHARD_WORKERS");
@@ -251,45 +165,22 @@ TEST(RuntimeConfigTest, ParsesShardKnobs) {
       << json;
 }
 
-TEST(RuntimeConfigTest, ParsesBankKnobs) {
-  {
-    unsetenv("AUTOCTS_BANK_DISABLE");
-    unsetenv("AUTOCTS_BANK_NO_MADVISE");
-    unsetenv("AUTOCTS_BANK_VERIFY");
-    RuntimeConfig cfg = RuntimeConfig::FromEnv();
-    EXPECT_TRUE(cfg.sample_bank);
-    EXPECT_TRUE(cfg.bank_madvise);
-    EXPECT_FALSE(cfg.bank_verify_on_open);
-  }
-  {
-    ScopedEnv disable("AUTOCTS_BANK_DISABLE", "1");
-    ScopedEnv no_madvise("AUTOCTS_BANK_NO_MADVISE", "1");
-    ScopedEnv verify("AUTOCTS_BANK_VERIFY", "1");
-    RuntimeConfig cfg = RuntimeConfig::FromEnv();
-    EXPECT_FALSE(cfg.sample_bank);
-    EXPECT_FALSE(cfg.bank_madvise);
-    EXPECT_TRUE(cfg.bank_verify_on_open);
-  }
-  RuntimeConfig cfg;
-  const std::string json = cfg.ToJson();
-  EXPECT_NE(json.find("\"sample_bank\": true"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"bank_madvise\": true"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"bank_verify_on_open\": false"), std::string::npos)
-      << json;
-}
-
 TEST(RuntimeConfigTest, DisableFlagTruthinessMatchesHistoricalGetenv) {
+  // Boolean knobs keep the historical getenv rule: unset, empty, or "0"
+  // leaves the flag clear; anything else sets it.
+  unsetenv("AUTOCTS_BANK_VERIFY");
+  EXPECT_FALSE(RuntimeConfig::FromEnv().bank_verify_on_open);
   {
-    ScopedEnv off("AUTOCTS_NO_FUSED", "0");
-    EXPECT_TRUE(RuntimeConfig::FromEnv().fused_kernels);
+    ScopedEnv off("AUTOCTS_BANK_VERIFY", "0");
+    EXPECT_FALSE(RuntimeConfig::FromEnv().bank_verify_on_open);
   }
   {
-    ScopedEnv off("AUTOCTS_NO_FUSED", "");
-    EXPECT_TRUE(RuntimeConfig::FromEnv().fused_kernels);
+    ScopedEnv off("AUTOCTS_BANK_VERIFY", "");
+    EXPECT_FALSE(RuntimeConfig::FromEnv().bank_verify_on_open);
   }
   {
-    ScopedEnv on("AUTOCTS_NO_FUSED", "yes");
-    EXPECT_FALSE(RuntimeConfig::FromEnv().fused_kernels);
+    ScopedEnv on("AUTOCTS_BANK_VERIFY", "yes");
+    EXPECT_TRUE(RuntimeConfig::FromEnv().bank_verify_on_open);
   }
 }
 
@@ -306,14 +197,31 @@ TEST(RuntimeConfigTest, ToJsonListsEveryKnob) {
   cfg.backend = "avx2";
   cfg.comparator_precision = ComparatorPrecision::kBf16;
   const std::string json = cfg.ToJson();
-  EXPECT_NE(json.find("\"num_threads\": 0"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"fused_kernels\": true"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"step_plans\": true"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"guards\": true"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"backend\": \"avx2\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"comparator_precision\": \"bf16\""),
-            std::string::npos)
-      << json;
+  const char* const kFields[] = {
+      "\"num_threads\": 0",
+      "\"pool_capacity_bytes\": 268435456",
+      "\"backend\": \"avx2\"",
+      "\"comparator_precision\": \"bf16\"",
+      "\"serve_port\": 8080",
+      "\"serve_workers\": 2",
+      "\"serve_max_batch\": 8",
+      "\"serve_max_delay_us\": 200",
+      "\"serve_embed_cache_entries\": 64",
+      "\"bank_verify_on_open\": false",
+      "\"shard_workers\": 0",
+      "\"shard_heartbeat_ms\": 250",
+      "\"shard_steal_timeout_ms\": 10000",
+  };
+  for (const char* field : kFields) {
+    EXPECT_NE(json.find(field), std::string::npos) << field << " in " << json;
+  }
+  // Exactly these fields: one "key": separator per knob, none extra.
+  size_t separators = 0;
+  for (size_t pos = json.find("\": "); pos != std::string::npos;
+       pos = json.find("\": ", pos + 1)) {
+    ++separators;
+  }
+  EXPECT_EQ(separators, std::size(kFields)) << json;
 }
 
 TEST(RuntimeConfigTest, ExecContextCarriesOverride) {

@@ -1,13 +1,12 @@
 #include "nn/serialize.h"
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 
 #include <gtest/gtest.h>
 
+#include "common/binio.h"
 #include "common/fileio.h"
-#include "comparator/bank_file.h"
 #include "comparator/comparator.h"
 #include "core/autocts.h"
 #include "data/synthetic.h"
@@ -70,6 +69,23 @@ TEST(SerializeTest, RejectsCorruptMagic) {
   Rng rng(5);
   Mlp m(2, 4, 1, &rng);
   EXPECT_FALSE(LoadParameters(&m, path).ok());
+
+  // The retired checksum-less "AUTOCTS!" frame (magic, count, tensors) is
+  // rejected too, even when its tensor list matches the module exactly.
+  ASSERT_TRUE(SaveParameters(m, path).ok());
+  const std::string current = ReadFileToString(path).value();
+  std::string retired;
+  AppendPod(&retired, uint64_t{0x4155544f43545321ull});  // "AUTOCTS!"
+  retired += current.substr(sizeof(uint64_t) + sizeof(uint32_t));
+  ASSERT_TRUE(AtomicWriteFile(path, retired).ok());
+  Rng rng2(8);
+  Mlp fresh(2, 4, 1, &rng2);
+  const std::vector<float> before = fresh.Parameters()[0].data();
+  Status loaded = LoadParameters(&fresh, path);
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.message().find("magic"), std::string::npos)
+      << loaded.message();
+  EXPECT_EQ(fresh.Parameters()[0].data(), before);
 }
 
 TEST(SerializeTest, TruncatedFileDoesNotHalfLoad) {
@@ -109,109 +125,6 @@ TEST(SerializeTest, ComparatorCheckpointRoundTrip) {
   ArchHyperEncoding e2 = EncodeArchHyper(space.Sample(&rng));
   Tensor task = Tensor::Randn({4}, &rng);
   EXPECT_DOUBLE_EQ(a.CompareProb(e1, e2, task), b.CompareProb(e1, e2, task));
-}
-
-// ---------------------------------------------------------------------------
-// Legacy wholesale bank format: round trip, and the one-shot migration to
-// the mmap format.
-
-BankImage SmallImage() {
-  BankImage image;
-  image.config_hash = 321;
-  BankImage::Task t;
-  t.task = 0;
-  t.key = 55;
-  t.name = "PEMS04";
-  t.shape = {2, 3, 2};
-  t.floats = {1.f, 2.f, 3.f, 4.f, 5.f, 6.f, 7.f, 8.f, 9.f, 10.f, 11.f, 12.f};
-  image.sections.push_back(t);
-  BankRecord r;
-  r.task = 0;
-  r.slot = 3;
-  r.signature = 987;
-  r.r_prime = 0.75;
-  r.shared = true;
-  r.quarantined = true;
-  r.retries = 1;
-  r.note = "non-finite loss";
-  r.arch = "B2C5H32I64U1d0";
-  image.records.push_back(r);
-  return image;
-}
-
-TEST(SerializeTest, WholesaleBankRoundTrip) {
-  BankImage image = SmallImage();
-  std::string bytes = SerializeBankWholesale(image);
-  StatusOr<BankImage> back = ParseBankWholesale(bytes);
-  ASSERT_TRUE(back.ok()) << back.status().message();
-  EXPECT_EQ(back.value().config_hash, 321u);
-  ASSERT_EQ(back.value().sections.size(), 1u);
-  EXPECT_EQ(back.value().sections[0].name, "PEMS04");
-  EXPECT_EQ(back.value().sections[0].shape, (std::vector<int>{2, 3, 2}));
-  EXPECT_EQ(back.value().sections[0].floats, image.sections[0].floats);
-  ASSERT_EQ(back.value().records.size(), 1u);
-  EXPECT_EQ(back.value().records[0].signature, 987u);
-  EXPECT_EQ(back.value().records[0].r_prime, 0.75);
-  EXPECT_TRUE(back.value().records[0].quarantined);
-  EXPECT_EQ(back.value().records[0].note, "non-finite loss");
-  EXPECT_EQ(back.value().records[0].arch, "B2C5H32I64U1d0");
-}
-
-TEST(SerializeTest, WholesaleBankRejectsDamage) {
-  std::string bytes = SerializeBankWholesale(SmallImage());
-  std::string truncated = bytes.substr(0, bytes.size() - 3);
-  EXPECT_FALSE(ParseBankWholesale(truncated).ok());
-  std::string flipped = bytes;
-  flipped[bytes.size() / 2] ^= 0x10;
-  EXPECT_FALSE(ParseBankWholesale(flipped).ok());
-}
-
-TEST(SerializeTest, WholesaleBankMigratesToMmapFormat) {
-  BankImage image = SmallImage();
-  std::string path = TempPath("legacy.bank");
-  std::error_code ec;
-  std::filesystem::remove(path + ".mmap", ec);  // Stale converted file.
-  ASSERT_TRUE(AtomicWriteFile(path, SerializeBankWholesale(image)).ok());
-  ASSERT_TRUE(IsWholesaleBankFile(path));
-
-  // Open migrates on sight: the converted file appears next to the
-  // original, and the original is left byte-for-byte alone.
-  std::string before = ReadFileToString(path).value();
-  auto bank =
-      SampleBank::Open(path, image.config_hash, SampleBank::Mode::kReadOnly);
-  ASSERT_TRUE(bank.ok()) << bank.status().message();
-  EXPECT_EQ(ReadFileToString(path).value(), before);
-  EXPECT_FALSE(IsWholesaleBankFile(bank.value()->path()));
-  EXPECT_EQ(bank.value()->path(), path + ".mmap");
-
-  // Migrated contents are equivalent to the wholesale image.
-  EXPECT_EQ(bank.value()->config_hash(), image.config_hash);
-  ASSERT_EQ(bank.value()->records().size(), 1u);
-  EXPECT_EQ(bank.value()->records()[0].note, "non-finite loss");
-  const BankSection* s = bank.value()->FindSection(0, 55);
-  ASSERT_NE(s, nullptr);
-  Tensor t = bank.value()->BorrowSection(*s);
-  EXPECT_EQ(t.shape(), (std::vector<int>{2, 3, 2}));
-  EXPECT_EQ(t.data(), image.sections[0].floats);
-  EXPECT_TRUE(bank.value()->VerifyAll().ok());
-
-  // A second open reuses the converted file instead of re-migrating.
-  auto again =
-      SampleBank::Open(path, image.config_hash, SampleBank::Mode::kReadOnly);
-  ASSERT_TRUE(again.ok()) << again.status().message();
-  EXPECT_EQ(again.value()->records().size(), 1u);
-}
-
-TEST(SerializeTest, WholesaleMigrationChecksConfigHash) {
-  std::string path = TempPath("legacy_mismatch.bank");
-  std::error_code ec;
-  std::filesystem::remove(path + ".mmap", ec);
-  ASSERT_TRUE(
-      AtomicWriteFile(path, SerializeBankWholesale(SmallImage())).ok());
-  auto bank = SampleBank::Open(path, 999, SampleBank::Mode::kReadOnly);
-  ASSERT_FALSE(bank.ok());
-  // Rejected before any .mmap file was produced.
-  EXPECT_FALSE(std::filesystem::exists(path + ".mmap"));
 }
 
 TEST(SerializeTest, FrameworkCheckpointMarksPretrained) {

@@ -364,6 +364,15 @@ TEST(HttpTest, ParseCsvWindow) {
   EXPECT_FALSE(ParseCsvWindow("", &req).ok());
   EXPECT_FALSE(ParseCsvWindow("1,2\n3\n", &req).ok());
   EXPECT_FALSE(ParseCsvWindow("1,x,3\n", &req).ok());
+  // Non-finite values never reach the embedding; the Status names them.
+  for (const char* bad : {"nan", "inf", "1e40"}) {
+    const Status s = ParseCsvWindow(std::string("1,2,3\n4,") + bad + ",6\n",
+                                    &req);
+    ASSERT_FALSE(s.ok()) << bad;
+    EXPECT_NE(s.message().find(std::string("'") + bad + "'"),
+              std::string::npos)
+        << s.message();
+  }
 }
 
 /// Minimal blocking HTTP client: one request, returns the full response.
