@@ -12,7 +12,7 @@
 // P-24/Q-24 (Table 10), P-48/Q-48 (Table 11), P-168/Q-1 3rd (Table 12).
 //
 // PR 6 adds a comparator-precision ablation: pairwise rank agreement of
-// the quantized bf16/int8 CompareLogits path vs fp32, measured on the full
+// the quantized bf16 CompareLogits path vs fp32, measured on the full
 // variant's pre-trained T-AHC with a real task embedding (the regime the
 // ≥99% acceptance bar is defined in).
 #include <algorithm>
@@ -80,45 +80,43 @@ void PrecisionAblation(AutoCtsPlusPlus* framework, const BenchEnv& env) {
                "===\n";
   TextTable table({"Precision", "Pairs", "Rank agreement", "Top-1 match"});
   NoGradScope no_grad;
-  for (ComparatorPrecision precision :
-       {ComparatorPrecision::kBf16, ComparatorPrecision::kInt8}) {
-    QuantizedComparator quant(*comp, precision);
-    int agree = 0, total = 0;
-    std::vector<int> wins_fp32(kCount, 0), wins_quant(kCount, 0);
-    for (int i = 0; i < kCount; ++i) {
-      std::vector<ArchHyperEncoding> first, second;
-      for (int j = 0; j < kCount; ++j) {
-        if (j == i) continue;
-        first.push_back(encs[static_cast<size_t>(i)]);
-        second.push_back(encs[static_cast<size_t>(j)]);
-      }
-      const int m = static_cast<int>(first.size());
-      EncodingBatch b1 = StackEncodings(first);
-      EncodingBatch b2 = StackEncodings(second);
-      Tensor te;
-      if (task_aware) {
-        std::vector<Tensor> rows(static_cast<size_t>(m), task_vec);
-        te = Concat(rows, 0);
-      }
-      Tensor ref = comp->CompareLogits(b1, b2, te);
-      std::vector<float> got = quant.CompareLogits(b1, b2, te);
-      for (int r = 0; r < m; ++r) {
-        const bool ref_win = ref.at(r) >= 0.0f;
-        const bool got_win = got[static_cast<size_t>(r)] >= 0.0f;
-        agree += ref_win == got_win ? 1 : 0;
-        ++total;
-        if (ref_win) ++wins_fp32[static_cast<size_t>(i)];
-        if (got_win) ++wins_quant[static_cast<size_t>(i)];
-      }
+  const ComparatorPrecision precision = ComparatorPrecision::kBf16;
+  QuantizedComparator quant(*comp, precision);
+  int agree = 0, total = 0;
+  std::vector<int> wins_fp32(kCount, 0), wins_quant(kCount, 0);
+  for (int i = 0; i < kCount; ++i) {
+    std::vector<ArchHyperEncoding> first, second;
+    for (int j = 0; j < kCount; ++j) {
+      if (j == i) continue;
+      first.push_back(encs[static_cast<size_t>(i)]);
+      second.push_back(encs[static_cast<size_t>(j)]);
     }
-    auto top1 = [](const std::vector<int>& wins) {
-      return static_cast<int>(std::distance(
-          wins.begin(), std::max_element(wins.begin(), wins.end())));
-    };
-    table.AddRow({ComparatorPrecisionName(precision), std::to_string(total),
-                  TextTable::Num(static_cast<double>(agree) / total, 4),
-                  top1(wins_fp32) == top1(wins_quant) ? "yes" : "NO"});
+    const int m = static_cast<int>(first.size());
+    EncodingBatch b1 = StackEncodings(first);
+    EncodingBatch b2 = StackEncodings(second);
+    Tensor te;
+    if (task_aware) {
+      std::vector<Tensor> rows(static_cast<size_t>(m), task_vec);
+      te = Concat(rows, 0);
+    }
+    Tensor ref = comp->CompareLogits(b1, b2, te);
+    std::vector<float> got = quant.CompareLogits(b1, b2, te);
+    for (int r = 0; r < m; ++r) {
+      const bool ref_win = ref.at(r) >= 0.0f;
+      const bool got_win = got[static_cast<size_t>(r)] >= 0.0f;
+      agree += ref_win == got_win ? 1 : 0;
+      ++total;
+      if (ref_win) ++wins_fp32[static_cast<size_t>(i)];
+      if (got_win) ++wins_quant[static_cast<size_t>(i)];
+    }
   }
+  auto top1 = [](const std::vector<int>& wins) {
+    return static_cast<int>(std::distance(
+        wins.begin(), std::max_element(wins.begin(), wins.end())));
+  };
+  table.AddRow({ComparatorPrecisionName(precision), std::to_string(total),
+                TextTable::Num(static_cast<double>(agree) / total, 4),
+                top1(wins_fp32) == top1(wins_quant) ? "yes" : "NO"});
   std::cout << table.ToString()
             << "(acceptance: agreement >= 0.99 with identical top-K; "
                "enforced per-seed by tests/comparator_quant_test.cc)\n";

@@ -783,7 +783,7 @@ void TrainComparatorOnSyntheticOrder(Comparator* comp, int steps,
 
 /// Quantized-vs-fp32 comparator ranking A/B: an eval-mode 64-pair
 /// CompareLogits batch through the fp32 tensor path vs the off-tape
-/// bf16/int8 path (comparator/quant.h), paired per repetition so
+/// bf16 path (comparator/quant.h), paired per repetition so
 /// frequency-scaling drift cancels. Each quantized record carries the
 /// active kernel backend and the pairwise rank agreement vs fp32 over the
 /// measured batch. CI gates on speedup_median >= 1.2 when the backend is
@@ -816,58 +816,56 @@ void AppendQuantCompareRecords(int reps,
   };
   for (int i = 0; i < 2; ++i) fp32_leg();
   const std::string backend = kernels::ActiveBackend().name;
-  for (ComparatorPrecision precision :
-       {ComparatorPrecision::kBf16, ComparatorPrecision::kInt8}) {
-    const char* tag = ComparatorPrecisionName(precision);
-    QuantizedComparator quant(comp, precision);
-    std::vector<float> quant_logits = quant.CompareLogits(b1, b2, Tensor());
-    int agree = 0;
-    for (int i = 0; i < kPairs; ++i) {
-      agree += (fp32_logits[static_cast<size_t>(i)] >= 0.0f) ==
-                       (quant_logits[static_cast<size_t>(i)] >= 0.0f)
-                   ? 1
-                   : 0;
-    }
-    const double agreement = static_cast<double>(agree) / kPairs;
-    auto quant_leg = [&] {
-      benchmark::DoNotOptimize(quant.CompareLogits(b1, b2, Tensor()).data());
-    };
-    for (int i = 0; i < 2; ++i) quant_leg();
-    std::vector<double> fp32_ns(static_cast<size_t>(reps));
-    std::vector<double> quant_ns(static_cast<size_t>(reps));
-    std::vector<double> speedups(static_cast<size_t>(reps));
-    for (int i = 0; i < reps; ++i) {
-      if (i % 2 == 0) {
-        fp32_ns[static_cast<size_t>(i)] = OnceNs(fp32_leg);
-        quant_ns[static_cast<size_t>(i)] = OnceNs(quant_leg);
-      } else {
-        quant_ns[static_cast<size_t>(i)] = OnceNs(quant_leg);
-        fp32_ns[static_cast<size_t>(i)] = OnceNs(fp32_leg);
-      }
-      speedups[static_cast<size_t>(i)] =
-          fp32_ns[static_cast<size_t>(i)] / quant_ns[static_cast<size_t>(i)];
-    }
-    bench::MicroBenchRecord rec;
-    rec.threads = 1;
-    rec.backend = backend;
-    rec.op = std::string("compare_logits_b64_fp32_vs_") + tag;
-    rec.ns_per_iter = MedianOf(fp32_ns);
-    records->push_back(rec);
-    rec.op = std::string("compare_logits_b64_") + tag;
-    rec.ns_per_iter = MedianOf(quant_ns);
-    rec.rank_agreement = agreement;
-    records->push_back(rec);
-    bench::MicroBenchRecord sp;
-    sp.threads = 1;
-    sp.backend = backend;
-    sp.op = std::string("compare_logits_b64_") + tag + "_quant_speedup";
-    sp.ns_per_iter = MedianOf(fp32_ns) - MedianOf(quant_ns);
-    sp.speedup_min = *std::min_element(speedups.begin(), speedups.end());
-    sp.speedup_median = MedianOf(speedups);
-    sp.speedup_max = *std::max_element(speedups.begin(), speedups.end());
-    sp.rank_agreement = agreement;
-    records->push_back(sp);
+  const ComparatorPrecision precision = ComparatorPrecision::kBf16;
+  const char* tag = ComparatorPrecisionName(precision);
+  QuantizedComparator quant(comp, precision);
+  std::vector<float> quant_logits = quant.CompareLogits(b1, b2, Tensor());
+  int agree = 0;
+  for (int i = 0; i < kPairs; ++i) {
+    agree += (fp32_logits[static_cast<size_t>(i)] >= 0.0f) ==
+                     (quant_logits[static_cast<size_t>(i)] >= 0.0f)
+                 ? 1
+                 : 0;
   }
+  const double agreement = static_cast<double>(agree) / kPairs;
+  auto quant_leg = [&] {
+    benchmark::DoNotOptimize(quant.CompareLogits(b1, b2, Tensor()).data());
+  };
+  for (int i = 0; i < 2; ++i) quant_leg();
+  std::vector<double> fp32_ns(static_cast<size_t>(reps));
+  std::vector<double> quant_ns(static_cast<size_t>(reps));
+  std::vector<double> speedups(static_cast<size_t>(reps));
+  for (int i = 0; i < reps; ++i) {
+    if (i % 2 == 0) {
+      fp32_ns[static_cast<size_t>(i)] = OnceNs(fp32_leg);
+      quant_ns[static_cast<size_t>(i)] = OnceNs(quant_leg);
+    } else {
+      quant_ns[static_cast<size_t>(i)] = OnceNs(quant_leg);
+      fp32_ns[static_cast<size_t>(i)] = OnceNs(fp32_leg);
+    }
+    speedups[static_cast<size_t>(i)] =
+        fp32_ns[static_cast<size_t>(i)] / quant_ns[static_cast<size_t>(i)];
+  }
+  bench::MicroBenchRecord rec;
+  rec.threads = 1;
+  rec.backend = backend;
+  rec.op = std::string("compare_logits_b64_fp32_vs_") + tag;
+  rec.ns_per_iter = MedianOf(fp32_ns);
+  records->push_back(rec);
+  rec.op = std::string("compare_logits_b64_") + tag;
+  rec.ns_per_iter = MedianOf(quant_ns);
+  rec.rank_agreement = agreement;
+  records->push_back(rec);
+  bench::MicroBenchRecord sp;
+  sp.threads = 1;
+  sp.backend = backend;
+  sp.op = std::string("compare_logits_b64_") + tag + "_quant_speedup";
+  sp.ns_per_iter = MedianOf(fp32_ns) - MedianOf(quant_ns);
+  sp.speedup_min = *std::min_element(speedups.begin(), speedups.end());
+  sp.speedup_median = MedianOf(speedups);
+  sp.speedup_max = *std::max_element(speedups.begin(), speedups.end());
+  sp.rank_agreement = agreement;
+  records->push_back(sp);
 }
 
 }  // namespace

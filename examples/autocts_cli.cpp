@@ -8,8 +8,8 @@
 //              progress (per-sample label fates, encoder/T-AHC parameters,
 //              RNG state); --resume restarts a killed run from the last
 //              completed sample with bit-identical results. --workers N
-//              (default AUTOCTS_SHARD_WORKERS) fans sample collection out
-//              over N forked worker processes with a work-stealing socket
+//              (default 0 = in-process) fans sample collection out over N
+//              forked worker processes with a work-stealing socket
 //              coordinator; the sample bank and the trained T-AHC are
 //              bit-identical at any worker count.
 //   search     zero-shot search on a dataset (named synthetic or CSV):
@@ -23,8 +23,8 @@
 //                autocts_cli serve --ckpt /tmp/my_tahc [--port 8080] \
 //                    [--workers 2] [--max-batch 8] [--max-delay-us 200] \
 //                    [--embed-cache-entries 64]
-//              Flags default from the AUTOCTS_SERVE_* environment knobs
-//              (see print-config). POST a CSV window (one row per
+//              Flags default from ServeOptions::ForScale and HttpOptions
+//              (the values shown). POST a CSV window (one row per
 //              series, columns = time steps) to /recommend:
 //                curl -s -X POST --data-binary @window.csv \
 //                    'localhost:8080/recommend?p=12&q=12&topk=3'
@@ -46,9 +46,9 @@
 //              non-zero on any corruption — usable as an fsck in scripts.
 //   info       print search-space and dataset registry information.
 //   print-config
-//              print the process runtime configuration (every AUTOCTS_*
-//              knob, parsed once at startup) plus the resolved kernel
-//              backend, as one JSON object. `--print-config` also works.
+//              print the process runtime configuration (the five
+//              AUTOCTS_* knobs, parsed once at startup) plus the resolved
+//              kernel backend, as one JSON object. `--print-config` also works.
 //   stats      print the process RuntimeStats snapshot (kernel dispatch,
 //              serve, shard, and fault-tolerance counter families) as one
 //              JSON object — print-config's sibling for "what did this
@@ -141,8 +141,7 @@ int Pretrain(const std::map<std::string, std::string>& flags) {
   AutoCtsOptions options = AutoCtsOptions::ForScale(scale);
   options.checkpoint.dir = StrFlag(flags, "checkpoint-dir", "");
   options.checkpoint.resume = flags.count("resume") > 0;
-  options.num_shard_workers =
-      IntFlag(flags, "workers", GlobalRuntimeConfig().shard_workers);
+  options.num_shard_workers = IntFlag(flags, "workers", 0);
   std::string ckpt = StrFlag(flags, "ckpt", "./autocts_cli");
   std::vector<ForecastTask> sources;
   Rng rng(static_cast<uint64_t>(IntFlag(flags, "seed", 97)));
@@ -254,10 +253,9 @@ volatile std::sig_atomic_t g_serve_interrupted = 0;
 void ServeSignalHandler(int) { g_serve_interrupted = 1; }
 
 /// Long-lived serving mode: pretrained checkpoint + RecommendationService +
-/// embedded HTTP front end. Flags default from the process AUTOCTS_SERVE_*
-/// environment knobs so `autocts_cli serve` alone honors the environment.
+/// embedded HTTP front end. Flags default from ServeOptions::ForScale and
+/// HttpOptions{}.
 int Serve(const std::map<std::string, std::string>& flags) {
-  const RuntimeConfig& rc = GlobalRuntimeConfig();
   ScaleConfig scale = ScaleConfig::Bench();
   AutoCtsOptions options = AutoCtsOptions::ForScale(scale);
   AutoCtsPlusPlus framework(options);
@@ -269,13 +267,13 @@ int Serve(const std::map<std::string, std::string>& flags) {
     return 1;
   }
   serve::ServeOptions serve_opts = serve::ServeOptions::ForScale(scale);
-  serve_opts.workers = IntFlag(flags, "workers", rc.serve_workers);
-  serve_opts.max_batch = IntFlag(flags, "max-batch", rc.serve_max_batch);
+  serve_opts.workers = IntFlag(flags, "workers", serve_opts.workers);
+  serve_opts.max_batch = IntFlag(flags, "max-batch", serve_opts.max_batch);
   serve_opts.max_delay_us =
-      IntFlag(flags, "max-delay-us", rc.serve_max_delay_us);
+      IntFlag(flags, "max-delay-us", serve_opts.max_delay_us);
   serve_opts.embed_cache_entries = static_cast<size_t>(IntFlag(
       flags, "embed-cache-entries",
-      static_cast<int>(rc.serve_embed_cache_entries)));
+      static_cast<int>(serve_opts.embed_cache_entries)));
   serve::RecommendationService service(framework.comparator(),
                                        framework.encoder(),
                                        &framework.space(), serve_opts);
@@ -285,7 +283,7 @@ int Serve(const std::map<std::string, std::string>& flags) {
     return 1;
   }
   serve::HttpOptions http_opts;
-  http_opts.port = IntFlag(flags, "port", rc.serve_port);
+  http_opts.port = IntFlag(flags, "port", http_opts.port);
   serve::HttpServer server(&service, http_opts);
   Status bound = server.Start();
   if (!bound.ok()) {

@@ -12,7 +12,6 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "common/runtime_config.h"
 
 namespace autocts {
 
@@ -168,20 +167,11 @@ struct ExecContext {
   ThreadPool* pool = nullptr;
   /// Base seed for stochastic phases that fork per-item streams.
   uint64_t seed = 0;
-  /// Runtime configuration override; null means the process-wide
-  /// environment-parsed configuration (GlobalRuntimeConfig). Must outlive
-  /// the context. Lets tests and multi-tenant callers thread a non-global
-  /// configuration (backend choice, comparator precision, knobs) through
-  /// the same plumbing as pools and seeds.
-  const RuntimeConfig* config = nullptr;
 
   ThreadPool* effective_pool() const {
     return pool != nullptr ? pool : DefaultPool();
   }
   int num_threads() const { return effective_pool()->num_threads(); }
-  const RuntimeConfig& effective_config() const {
-    return config != nullptr ? *config : GlobalRuntimeConfig();
-  }
   ExecContext WithSeed(uint64_t s) const {
     ExecContext c = *this;
     c.seed = s;

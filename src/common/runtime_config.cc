@@ -20,7 +20,6 @@ const char* ComparatorPrecisionName(ComparatorPrecision p) {
   switch (p) {
     case ComparatorPrecision::kFp32: return "fp32";
     case ComparatorPrecision::kBf16: return "bf16";
-    case ComparatorPrecision::kInt8: return "int8";
   }
   return "fp32";
 }
@@ -41,52 +40,10 @@ RuntimeConfig RuntimeConfig::FromEnv() {
   if (const char* env = std::getenv("AUTOCTS_COMPARATOR_PRECISION")) {
     if (std::strcmp(env, "bf16") == 0) {
       cfg.comparator_precision = ComparatorPrecision::kBf16;
-    } else if (std::strcmp(env, "int8") == 0) {
-      cfg.comparator_precision = ComparatorPrecision::kInt8;
     }
-    // Anything else (incl. "fp32") keeps the fp32 default.
-  }
-  if (const char* env = std::getenv("AUTOCTS_SERVE_PORT")) {
-    int n = std::atoi(env);
-    if (n >= 0 && n <= 65535) cfg.serve_port = n;
-  }
-  if (const char* env = std::getenv("AUTOCTS_SERVE_WORKERS")) {
-    int n = std::atoi(env);
-    if (n >= 0) cfg.serve_workers = n;
-  }
-  if (const char* env = std::getenv("AUTOCTS_SERVE_MAX_BATCH")) {
-    int n = std::atoi(env);
-    if (n > 0) cfg.serve_max_batch = n;
-  }
-  if (const char* env = std::getenv("AUTOCTS_SERVE_MAX_DELAY_US")) {
-    int n = std::atoi(env);
-    if (n >= 0) cfg.serve_max_delay_us = n;
+    // Anything else (incl. "fp32" and the retired "int8") keeps fp32.
   }
   cfg.bank_verify_on_open = FlagSet("AUTOCTS_BANK_VERIFY");
-  if (const char* env = std::getenv("AUTOCTS_SHARD_WORKERS")) {
-    // 0 legitimately means "no sharding", so unparseable input must be told
-    // apart from a parsed zero.
-    char* end = nullptr;
-    const long n = std::strtol(env, &end, 10);
-    if (end != env && n >= 0) cfg.shard_workers = static_cast<int>(n);
-  }
-  if (const char* env = std::getenv("AUTOCTS_SHARD_HEARTBEAT_MS")) {
-    int n = std::atoi(env);
-    if (n > 0) cfg.shard_heartbeat_ms = n;
-  }
-  if (const char* env = std::getenv("AUTOCTS_SHARD_STEAL_TIMEOUT_MS")) {
-    int n = std::atoi(env);
-    if (n > 0) cfg.shard_steal_timeout_ms = n;
-  }
-  if (const char* env = std::getenv("AUTOCTS_SERVE_EMBED_CACHE")) {
-    // 0 legitimately disables caching, so unparseable input must be told
-    // apart from a parsed zero.
-    char* end = nullptr;
-    const long n = std::strtol(env, &end, 10);
-    if (end != env && n >= 0) {
-      cfg.serve_embed_cache_entries = static_cast<size_t>(n);
-    }
-  }
   return cfg;
 }
 
@@ -98,15 +55,7 @@ std::string RuntimeConfig::ToJson() const {
   w.Field("backend", backend.empty() ? "auto" : backend);
   w.Field("comparator_precision",
           ComparatorPrecisionName(comparator_precision));
-  w.Field("serve_port", serve_port);
-  w.Field("serve_workers", serve_workers);
-  w.Field("serve_max_batch", serve_max_batch);
-  w.Field("serve_max_delay_us", serve_max_delay_us);
-  w.Field("serve_embed_cache_entries", serve_embed_cache_entries);
   w.Field("bank_verify_on_open", bank_verify_on_open);
-  w.Field("shard_workers", shard_workers);
-  w.Field("shard_heartbeat_ms", shard_heartbeat_ms);
-  w.Field("shard_steal_timeout_ms", shard_steal_timeout_ms);
   w.EndObject();
   return w.str();
 }

@@ -76,7 +76,6 @@ std::string RuntimeStats::ToJson() const {
   w.Field("active", backend.active.empty() ? "unlinked" : backend.active);
   w.Field("gemm_micro_calls", backend.gemm_micro_calls);
   w.Field("gemm_small_calls", backend.gemm_small_calls);
-  w.Field("qgemm_s8_calls", backend.qgemm_s8_calls);
   w.Field("qgemm_bf16_calls", backend.qgemm_bf16_calls);
   w.EndObject();
   w.Key("serve");

@@ -17,7 +17,8 @@ struct BackendStats {
   std::string active;             ///< "scalar", "avx2", "avx512", "neon".
   uint64_t gemm_micro_calls = 0;  ///< Blocked-GEMM dispatches (micro path).
   uint64_t gemm_small_calls = 0;  ///< Small-problem GEMM dispatches.
-  uint64_t qgemm_s8_calls = 0;    ///< int8 quantized GEMM dispatches.
+  /// Always 0: int8 inference is gone; bench/e2e still reads the field.
+  uint64_t qgemm_s8_calls = 0;
   uint64_t qgemm_bf16_calls = 0;  ///< bf16-weight GEMM dispatches.
 };
 

@@ -1,53 +1,11 @@
 #include "comparator/quant.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
 #include "tensor/backend.h"
 
 namespace autocts {
-namespace {
-
-/// Per-row dynamic affine int8 quantization: the row's [min, max] range —
-/// widened to include 0 so zeros quantize exactly — maps onto [-127, 127]
-/// with scale = (max - min) / 254 and zero point zp = -127 - round(min /
-/// scale), q = clamp(round(v / scale) + zp). Affine keeps the full 8 bits
-/// of resolution for post-ReLU rows (whose negative half-range is empty;
-/// symmetric quantization would waste it) and degenerates to ~symmetric
-/// for centered rows. The zero point folds out of the GEMM exactly via the
-/// per-column weight sums precomputed at snapshot (see Apply). All-zero
-/// rows get scale 1 / zp 0 so the division is defined; the quantized row
-/// is all zeros either way.
-void QuantizeRowsAffine(const float* x, int rows, int cols, int8_t* q,
-                        float* scales, int32_t* zero_points) {
-  for (int r = 0; r < rows; ++r) {
-    const float* row = x + static_cast<int64_t>(r) * cols;
-    float rmin = 0.0f, rmax = 0.0f;
-    for (int c = 0; c < cols; ++c) {
-      rmin = std::min(rmin, row[c]);
-      rmax = std::max(rmax, row[c]);
-    }
-    int8_t* qrow = q + static_cast<int64_t>(r) * cols;
-    if (rmax == rmin) {  // Both 0: the range was widened to include 0.
-      std::fill(qrow, qrow + cols, static_cast<int8_t>(0));
-      scales[r] = 1.0f;
-      zero_points[r] = 0;
-      continue;
-    }
-    const float scale = (rmax - rmin) / 254.0f;
-    const float inv = 1.0f / scale;
-    const float zp = -127.0f - std::nearbyint(rmin * inv);
-    for (int c = 0; c < cols; ++c) {
-      const float v = std::nearbyint(row[c] * inv) + zp;
-      qrow[c] = static_cast<int8_t>(std::clamp(v, -127.0f, 127.0f));
-    }
-    scales[r] = scale;
-    zero_points[r] = static_cast<int32_t>(zp);
-  }
-}
-
-}  // namespace
 
 QuantizedComparator::QuantizedComparator(const Comparator& comparator,
                                          ComparatorPrecision precision)
@@ -93,35 +51,6 @@ QuantizedComparator::QLinear QuantizedComparator::Snapshot(
         q.w_bf16[i] = kernels::Bf16FromF32(w[i]);
       }
       break;
-    case ComparatorPrecision::kInt8: {
-      // Per-output-channel symmetric: channel j lives in column j of the
-      // [in, out] row-major weight.
-      q.w_scale.assign(q.out, 0.0f);
-      for (int i = 0; i < q.in; ++i) {
-        for (int j = 0; j < q.out; ++j) {
-          q.w_scale[j] =
-              std::max(q.w_scale[j], std::fabs(w[static_cast<size_t>(i) * q.out + j]));
-        }
-      }
-      for (int j = 0; j < q.out; ++j) {
-        q.w_scale[j] = q.w_scale[j] > 0.0f ? q.w_scale[j] / 127.0f : 1.0f;
-      }
-      q.w_s8.resize(w.size());
-      for (int i = 0; i < q.in; ++i) {
-        for (int j = 0; j < q.out; ++j) {
-          const size_t idx = static_cast<size_t>(i) * q.out + j;
-          const float v = std::nearbyint(w[idx] / q.w_scale[j]);
-          q.w_s8[idx] = static_cast<int8_t>(std::clamp(v, -127.0f, 127.0f));
-        }
-      }
-      q.w_colsum.assign(q.out, 0);
-      for (int i = 0; i < q.in; ++i) {
-        for (int j = 0; j < q.out; ++j) {
-          q.w_colsum[j] += q.w_s8[static_cast<size_t>(i) * q.out + j];
-        }
-      }
-      break;
-    }
   }
   return q;
 }
@@ -148,29 +77,6 @@ void QuantizedComparator::Apply(const QLinear& q, const float* x, int rows,
       kernels::counters::NoteQgemmBf16();
       backend.qgemm_bf16(x, q.w_bf16.data(), y, rows, q.in, q.out);
       break;
-    case ComparatorPrecision::kInt8: {
-      std::vector<int8_t> xq(static_cast<size_t>(rows) * q.in);
-      std::vector<float> xs(rows);
-      std::vector<int32_t> zps(rows);
-      QuantizeRowsAffine(x, rows, q.in, xq.data(), xs.data(), zps.data());
-      std::vector<int32_t> acc(static_cast<size_t>(rows) * q.out);
-      kernels::counters::NoteQgemmS8();
-      backend.qgemm_s8(xq.data(), q.w_s8.data(), acc.data(), rows, q.in,
-                       q.out);
-      for (int r = 0; r < rows; ++r) {
-        const float row_scale = xs[r];
-        const int32_t zp = zps[r];
-        const int32_t* arow = acc.data() + static_cast<int64_t>(r) * q.out;
-        float* yrow = y + static_cast<int64_t>(r) * q.out;
-        for (int j = 0; j < q.out; ++j) {
-          // The zero-point correction stays in exact int32 before the one
-          // float rescale, so the result is backend-invariant.
-          yrow[j] = static_cast<float>(arow[j] - zp * q.w_colsum[j]) *
-                    row_scale * q.w_scale[j];
-        }
-      }
-      break;
-    }
   }
   const bool has_bias = !q.bias.empty();
   if (has_bias || relu) {

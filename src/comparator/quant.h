@@ -13,11 +13,10 @@ namespace autocts {
 ///
 /// The evolutionary search spends most comparator time in eval-mode
 /// CompareLogits calls whose weights never change between pretraining and
-/// the end of the search. This class snapshots those weights ONCE (bf16 or
-/// per-channel symmetric int8, per AUTOCTS_COMPARATOR_PRECISION) and
-/// replays the forward pass off-tape through the active kernel backend's
-/// quantized GEMMs (tensor/backend.h) — no tape nodes, no plan capture, no
-/// Tensor allocations on the hot path.
+/// the end of the search. This class snapshots those weights ONCE (bf16,
+/// per AUTOCTS_COMPARATOR_PRECISION) and replays the forward pass off-tape
+/// through the active kernel backend's bf16 GEMM (tensor/backend.h) — no
+/// tape nodes, no plan capture, no Tensor allocations on the hot path.
 ///
 /// Scope is deliberately narrow: ONLY comparator inference is quantized.
 /// Comparator training, the forecaster, and every other eval path stay
@@ -32,17 +31,10 @@ namespace autocts {
 /// a vanishing fraction of the FLOPs and the first layer is where
 /// quantization noise compounds the most.
 ///
-/// int8 scheme: weights per-output-channel symmetric (scale_j =
-/// max_i|W_ij| / 127), activations per-row dynamic AFFINE (the row's
-/// [min, max] range maps onto the full int8 range, so post-ReLU rows —
-/// whose negative half is empty — keep 8 bits of resolution instead of 7;
-/// the zero point folds out of the GEMM exactly via precomputed per-column
-/// weight sums), int32 accumulation (exact), dequantized by one scale
-/// multiply at the output.
 /// bf16 scheme: weights narrowed round-to-nearest-even, fp32 ascending-k
-/// accumulation. Both are bit-identical across kernel backends (see
-/// backend.h); kFp32 is also accepted and replays the same off-tape path
-/// unquantized (used by tests as the agreement oracle).
+/// accumulation, bit-identical across kernel backends (see backend.h).
+/// kFp32 is also accepted and replays the same off-tape path unquantized
+/// (used by tests as the agreement oracle).
 class QuantizedComparator {
  public:
   /// Snapshots `comparator`'s weights at the given precision. The
@@ -70,11 +62,6 @@ class QuantizedComparator {
     std::vector<float> bias;        ///< Empty when the layer has no bias.
     std::vector<float> w_f32;       ///< [in*out] (fp32 mode).
     std::vector<uint16_t> w_bf16;   ///< [in*out] (bf16 mode).
-    std::vector<int8_t> w_s8;       ///< [in*out] (int8 mode).
-    std::vector<float> w_scale;     ///< [out] per-channel scales (int8).
-    /// [out] per-column sums of w_s8 — folds the activation zero point out
-    /// of the int8 GEMM exactly: sum_k (q_k - zp) W_kj = acc_j - zp*sum_j.
-    std::vector<int32_t> w_colsum;
   };
 
   QLinear Snapshot(const Linear& layer, ComparatorPrecision mode) const;

@@ -1,24 +1,18 @@
 #include "core/autocts.h"
 
-#include <chrono>
 #include <sstream>
 
 #include <cstdlib>
 #include <filesystem>
 
+#include "common/clock.h"
 #include "common/fault.h"
-#include "common/runtime_config.h"
 #include "data/synthetic.h"
 #include "model/searched_model.h"
 #include "shard/shard.h"
 
 namespace autocts {
 namespace {
-
-double Seconds(std::chrono::steady_clock::time_point from) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - from)
-      .count();
-}
 
 /// Fingerprint of everything a Pretrain() run's results depend on: the
 /// options that shape RNG consumption or sample labeling, and the task
@@ -204,13 +198,10 @@ StatusOr<PretrainReport> AutoCtsPlusPlus::TryPretrain(
     // sockets (DESIGN.md "Sharded pretraining"). Bit-identical to the
     // in-process path below — the branch is a throughput choice, not a
     // semantic one — so it shares the checkpoint hook and config hash.
-    const RuntimeConfig& rc = GlobalRuntimeConfig();
     ShardOptions shard;
     shard.num_workers = options_.num_shard_workers;
     shard.worker_threads = options_.num_threads;
     shard.config_hash = PretrainConfigHash(options_, source_tasks);
-    shard.heartbeat_ms = rc.shard_heartbeat_ms;
-    shard.steal_timeout_ms = rc.shard_steal_timeout_ms;
     const bool scratch = options_.checkpoint.dir.empty();
     if (scratch) {
       // No checkpoint dir to anchor shard banks in: use a throwaway scratch
@@ -336,15 +327,15 @@ std::vector<ArchHyper> AutoCtsPlusPlus::RankTopK(const ForecastTask& task,
 
 SearchOutcome AutoCtsPlusPlus::SearchAndTrain(const ForecastTask& task) {
   CHECK(pretrained_) << "call Pretrain() before searching";
-  auto t0 = std::chrono::steady_clock::now();
+  auto t0 = Clock::now();
   Tensor task_embed = EmbedTask(task);
-  double embed_seconds = Seconds(t0);
+  double embed_seconds = SecondsSince(t0);
 
-  auto t1 = std::chrono::steady_clock::now();
+  auto t1 = Clock::now();
   EvolutionarySearcher searcher(comparator_.get(), &space_, exec_context());
   std::vector<ArchHyper> top_k =
       searcher.SearchTopK(task_embed, options_.search);
-  double rank_seconds = Seconds(t1);
+  double rank_seconds = SecondsSince(t1);
 
   SearchOutcome outcome =
       TrainTopKAndSelect(top_k, task, options_.final_train, options_.scale,
@@ -365,7 +356,7 @@ SearchOutcome AutoCtsPlus::SearchAndTrain(const ForecastTask& task) {
   Rng rng(options_.seed);
   // Fully supervised: labels come from the *target* task itself — this is
   // what costs GPU hours per task and what AutoCTS++ amortizes away.
-  auto t0 = std::chrono::steady_clock::now();
+  auto t0 = Clock::now();
   Comparator::Options comp_opts = options_.comparator;
   comp_opts.task_aware = false;
   Comparator ahc(comp_opts, rng.Fork());
@@ -378,13 +369,13 @@ SearchOutcome AutoCtsPlus::SearchAndTrain(const ForecastTask& task) {
   PretrainOptions pre = options_.pretrain;
   pre.initial_random_fraction = 1.0f;  // No curriculum on a single task.
   PretrainReport fit = PretrainComparator(&ahc, data, pre, ctx);
-  double label_and_fit_seconds = Seconds(t0);
+  double label_and_fit_seconds = SecondsSince(t0);
 
-  auto t1 = std::chrono::steady_clock::now();
+  auto t1 = Clock::now();
   EvolutionarySearcher searcher(&ahc, &space_, ctx);
   std::vector<ArchHyper> top_k =
       searcher.SearchTopK(Tensor(), options_.search);
-  double rank_seconds = Seconds(t1);
+  double rank_seconds = SecondsSince(t1);
 
   SearchOutcome outcome = TrainTopKAndSelect(top_k, task, options_.final_train,
                                              options_.scale,
@@ -404,7 +395,7 @@ SearchOutcome TrainTopKAndSelect(const std::vector<ArchHyper>& top_k,
                                  const ExecContext& ctx) {
   CHECK(!top_k.empty());
   ExecScope scope(ctx);
-  auto t0 = std::chrono::steady_clock::now();
+  auto t0 = Clock::now();
   SearchOutcome outcome;
   outcome.top_k = top_k;
   ForecasterSpec spec = MakeForecasterSpec(task);
@@ -445,7 +436,7 @@ SearchOutcome TrainTopKAndSelect(const std::vector<ArchHyper>& top_k,
     outcome.best = top_k.front();
     outcome.best_report = reports.front();
   }
-  outcome.train_seconds = Seconds(t0);
+  outcome.train_seconds = SecondsSince(t0);
   return outcome;
 }
 

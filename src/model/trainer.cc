@@ -1,10 +1,10 @@
 #include "model/trainer.h"
 
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <string>
 
+#include "common/clock.h"
 #include "common/fault.h"
 #include "common/guard.h"
 #include "nn/optimizer.h"
@@ -135,12 +135,10 @@ Status ModelTrainer::RunEpochs(Forecaster* model, int epochs, float lr_scale,
 TrainReport ModelTrainer::Train(Forecaster* model) const {
   ExecScope scope(ctx_);
   TrainReport report;
-  auto start = std::chrono::steady_clock::now();
+  const Clock::time_point start = Clock::now();
   report.status =
       RunEpochs(model, options_.epochs, 1.0f, &report.epoch_train_loss);
-  report.train_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  report.train_seconds = SecondsSince(start);
   if (!report.status.ok()) return report;  // Metrics would be garbage.
   report.val = Evaluate(*model, 1);
   report.test = Evaluate(*model, 2);

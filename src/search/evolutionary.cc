@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "common/guard.h"
+#include "common/runtime_config.h"
 #include "tensor/ops.h"
 #include "tensor/plan.h"
 
@@ -79,12 +80,12 @@ std::vector<bool> EvolutionarySearcher::ComparePairs(
   const int64_t num_batches =
       (static_cast<int64_t>(pairs.size()) + compare_batch - 1) / compare_batch;
   const ComparatorPrecision precision =
-      ctx_.effective_config().comparator_precision;
+      GlobalRuntimeConfig().comparator_precision;
   if (!comparator_->training() && precision != ComparatorPrecision::kFp32) {
-    // Quantized inference path (AUTOCTS_COMPARATOR_PRECISION=bf16|int8):
-    // off-tape raw-buffer forward through the active kernel backend's
-    // quantized GEMMs — no tape, no plans, so it bypasses the plan cache
-    // entirely. Batches stay independent, so the same fan-out applies.
+    // Quantized inference path (AUTOCTS_COMPARATOR_PRECISION=bf16):
+    // off-tape raw-buffer forward through the active kernel backend's bf16
+    // GEMM — no tape, no plans, so it bypasses the plan cache entirely.
+    // Batches stay independent, so the same fan-out applies.
     const QuantizedComparator* quant = Quantized(precision);
     ExecScope scope(ctx_);
     ParallelFor(0, num_batches, 1, [&](int64_t b0, int64_t b1r) {

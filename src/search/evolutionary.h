@@ -76,8 +76,8 @@ class EvolutionarySearcher {
       int compare_batch) const;
 
   /// The lazily built quantized comparator snapshot serving eval-mode
-  /// ComparePairs when ctx_.effective_config().comparator_precision is bf16
-  /// or int8. Weights are snapshotted at first quantized use — valid here
+  /// ComparePairs when GlobalRuntimeConfig().comparator_precision is bf16.
+  /// Weights are snapshotted at first quantized use — valid here
   /// because the searcher holds the comparator const, so weights cannot
   /// change across a search. Guarded: ComparePairs fans out across the pool.
   const QuantizedComparator* Quantized(ComparatorPrecision precision) const;

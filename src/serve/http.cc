@@ -7,9 +7,11 @@
 #include <unistd.h>
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -104,8 +106,11 @@ void WriteError(int fd, int code, const char* reason,
   WriteResponse(fd, code, reason, w.str(), "application/json");
 }
 
-/// Integer query parameter `name` from "a=1&b=2", or `fallback`.
-int QueryInt(const std::string& query, const std::string& name, int fallback) {
+/// Reads integer query parameter `name` from "a=1&b=2" into `*value`, which
+/// keeps its prior value when the parameter is absent. A value that is not
+/// a whole decimal integer, or does not fit in an int, is an error.
+Status QueryInt(const std::string& query, const std::string& name,
+                int* value) {
   size_t pos = 0;
   while (pos < query.size()) {
     size_t amp = query.find('&', pos);
@@ -113,11 +118,22 @@ int QueryInt(const std::string& query, const std::string& name, int fallback) {
     const std::string kv = query.substr(pos, amp - pos);
     const size_t eq = kv.find('=');
     if (eq != std::string::npos && kv.substr(0, eq) == name) {
-      return std::atoi(kv.c_str() + eq + 1);
+      const char* text = kv.c_str() + eq + 1;
+      char* end = nullptr;
+      errno = 0;
+      const long n = std::strtol(text, &end, 10);
+      if (end == text || *end != '\0' || errno == ERANGE ||
+          n < std::numeric_limits<int>::min() ||
+          n > std::numeric_limits<int>::max()) {
+        return Status::Error("query parameter '" + name +
+                             "' is not an int: '" + text + "'");
+      }
+      *value = static_cast<int>(n);
+      return Status::Ok();
     }
     pos = amp + 1;
   }
-  return fallback;
+  return Status::Ok();
 }
 
 }  // namespace
@@ -295,11 +311,24 @@ void HttpServer::HandleConnection(int fd) {
       WriteError(fd, 400, "Bad Request", s.message());
       return;
     }
-    rec.p = QueryInt(req.query, "p", 12);
-    rec.q = QueryInt(req.query, "q", 12);
-    rec.single_step = QueryInt(req.query, "single", 0) != 0;
-    rec.top_k = QueryInt(req.query, "topk", 1);
-    rec.want_forecast = QueryInt(req.query, "forecast", 0) != 0;
+    int single = 0;
+    int forecast = 0;
+    const std::pair<const char*, int*> params[] = {
+        {"p", &rec.p},
+        {"q", &rec.q},
+        {"single", &single},
+        {"topk", &rec.top_k},
+        {"forecast", &forecast},
+    };
+    for (const auto& [name, value] : params) {
+      s = QueryInt(req.query, name, value);
+      if (!s.ok()) {
+        WriteError(fd, 400, "Bad Request", s.message());
+        return;
+      }
+    }
+    rec.single_step = single != 0;
+    rec.want_forecast = forecast != 0;
     StatusOr<Recommendation> result = service_->Recommend(std::move(rec));
     if (!result.ok()) {
       WriteError(fd, 422, "Unprocessable Entity", result.status().message());

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/clock.h"
 #include "common/guard.h"
 #include "model/searched_model.h"
 #include "searchspace/parse.h"
@@ -26,12 +27,6 @@ std::atomic<RecommendationService*> g_active_service{nullptr};
 ServeStats ActiveServeStats() {
   RecommendationService* s = g_active_service.load(std::memory_order_acquire);
   return s != nullptr ? s->stats() : ServeStats{};
-}
-
-double MicrosSince(std::chrono::steady_clock::time_point from) {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - from)
-      .count();
 }
 
 std::string HexSig(uint64_t sig) {
@@ -155,13 +150,11 @@ RecommendationService::RecommendationService(Comparator* comparator,
       encoder_(encoder),
       space_(space),
       options_(options),
-      config_(GlobalRuntimeConfig()),
       embed_cache_(options.embed_cache_entries) {
   CHECK(comparator_ != nullptr);
   CHECK(space_ != nullptr);
   if (comparator_->options().task_aware) CHECK(encoder_ != nullptr);
   comparator_->SetTraining(false);
-  config_.comparator_precision = options_.precision;
 }
 
 RecommendationService::~RecommendationService() { Shutdown(); }
@@ -227,7 +220,7 @@ std::future<StatusOr<Recommendation>> RecommendationService::Submit(
     RecommendRequest request) {
   auto pending = std::make_unique<Pending>();
   pending->request = std::move(request);
-  pending->enqueued = std::chrono::steady_clock::now();
+  pending->enqueued = Clock::now();
   std::future<StatusOr<Recommendation>> result =
       pending->promise.get_future();
   {
@@ -258,7 +251,7 @@ Status RecommendationService::TrySubmit(
   CHECK(result != nullptr);
   auto pending = std::make_unique<Pending>();
   pending->request = std::move(request);
-  pending->enqueued = std::chrono::steady_clock::now();
+  pending->enqueued = Clock::now();
   *result = pending->promise.get_future();
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
@@ -334,7 +327,6 @@ void RecommendationService::WorkerLoop(int worker_index) {
   ExecContext ctx;
   ctx.pool = &local_pool;
   ctx.seed = options_.search.seed + static_cast<uint64_t>(worker_index);
-  ctx.config = &config_;
   ExecScope scope(ctx);
   for (;;) {
     std::vector<PendingPtr> batch = PopBatch();
@@ -351,7 +343,7 @@ RecommendationService::PopBatch() {
   if (queue_.empty()) return batch;  // Stopping and fully drained.
   batch.push_back(std::move(queue_.front()));
   queue_.pop_front();
-  const auto deadline = std::chrono::steady_clock::now() +
+  const auto deadline = Clock::now() +
                         std::chrono::microseconds(options_.max_delay_us);
   while (static_cast<int>(batch.size()) < options_.max_batch) {
     if (!queue_.empty()) {
@@ -383,7 +375,9 @@ Status RecommendationService::Validate(const RecommendRequest& r) const {
     return Status::Error("window size does not match num_series * num_steps");
   }
   if (r.p < 1 || r.q < 1) return Status::Error("p and q must be >= 1");
-  if (r.num_steps < r.p + r.q) {
+  // In 64 bits: p and q come straight off the wire, and p + q overflows int.
+  const int64_t span = int64_t{r.p} + r.q;
+  if (r.num_steps < span) {
     return Status::Error("window too short: num_steps must be >= p + q");
   }
   if (!r.adjacency.empty() &&
@@ -392,7 +386,7 @@ Status RecommendationService::Validate(const RecommendRequest& r) const {
     return Status::Error("adjacency must be empty or num_series^2");
   }
   if (r.top_k < 1) return Status::Error("top_k must be >= 1");
-  if (r.want_forecast && r.num_steps - (r.p + r.q) + 1 < 20) {
+  if (r.want_forecast && r.num_steps - span + 1 < 20) {
     return Status::Error(
         "forecast needs at least 20 training windows (num_steps >= p+q+19)");
   }
@@ -474,7 +468,7 @@ void RecommendationService::EvaluateDuels(DuelSet* duels) const {
   const bool task_aware = comparator_->options().task_aware;
   const int compare_batch = std::max(1, options_.search.compare_batch);
   const size_t n = duels->rows.size();
-  const ComparatorPrecision precision = config_.comparator_precision;
+  const ComparatorPrecision precision = options_.precision;
   NoGradScope no_grad;
   auto record = [&](size_t begin, int m, const float* logits) {
     for (int i = 0; i < m; ++i) {
@@ -573,14 +567,14 @@ void RecommendationService::EvaluateDuels(DuelSet* duels) const {
 
 void RecommendationService::ProcessBatch(std::vector<PendingPtr> batch,
                                          const ExecContext& ctx) {
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = Clock::now();
   batches_.fetch_add(1, std::memory_order_relaxed);
   batched_requests_.fetch_add(batch.size(), std::memory_order_relaxed);
   // Flush cached embeddings if the kernel backend or comparator precision
   // changed since the last batch (the staleness contract; see embed_cache.h).
   embed_cache_.SetContext(
       std::string(kernels::ActiveBackend().name) + "/" +
-      ComparatorPrecisionName(config_.comparator_precision));
+      ComparatorPrecisionName(options_.precision));
 
   const bool task_aware = comparator_->options().task_aware;
   const int f2 = comparator_->options().f2;
@@ -724,7 +718,7 @@ void RecommendationService::ProcessBatch(std::vector<PendingPtr> batch,
   }
 
   // Fulfill every promise.
-  const double service_us = MicrosSince(t0);
+  const double service_us = SecondsSince(t0) * 1e6;
   for (Active& a : acts) {
     if (!a.ok()) {
       a.pending->promise.set_value(a.status);
@@ -878,7 +872,6 @@ StatusOr<stream::StreamModel> RecommendationService::ResearchModel(
   ExecContext ctx;
   ctx.pool = &local_pool;
   ctx.seed = options_.search.seed;
-  ctx.config = &config_;
   ExecScope scope(ctx);
   bool model_hit = false;
   StatusOr<ModelEntryPtr> entry = TrainedModel(
@@ -906,7 +899,7 @@ StatusOr<uint64_t> RecommendationService::StreamOpen(
   r.top_k = 1;
   const Status valid = Validate(r);
   if (!valid.ok()) return valid;
-  if (r.num_steps - (r.p + r.q) + 1 < 20) {
+  if (r.num_steps - (int64_t{r.p} + r.q) + 1 < 20) {
     return Status::Error(
         "stream seed window too short: training the initial model needs "
         "num_steps >= p + q + 19");

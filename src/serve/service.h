@@ -30,8 +30,8 @@ namespace autocts {
 namespace serve {
 
 /// Knobs of the long-lived recommendation server (see DESIGN.md "Serving
-/// layer"). Every knob has an AUTOCTS_SERVE_* environment form parsed by
-/// RuntimeConfig::FromEnv and a --flag on `autocts_cli serve`.
+/// layer"). `autocts_cli serve` exposes the worker, batching and cache
+/// knobs as --flags that default from ForScale.
 struct ServeOptions {
   /// Worker threads draining the request queue. Each worker owns its
   /// thread-local captured StepPlans (plans replay only on their capture
@@ -65,8 +65,8 @@ struct ServeOptions {
   /// Model-geometry scaling for forecast models.
   ScaleConfig scale;
   /// Comparator inference precision for this service (default: the process
-  /// AUTOCTS_COMPARATOR_PRECISION). bf16/int8 take the off-tape quantized
-  /// path; responses stay deterministic per precision.
+  /// AUTOCTS_COMPARATOR_PRECISION). bf16 takes the off-tape quantized path;
+  /// responses stay deterministic per precision.
   ComparatorPrecision precision = GlobalRuntimeConfig().comparator_precision;
 
   /// Serving defaults scaled to the preset (small ranking pool: the
@@ -280,7 +280,6 @@ class RecommendationService {
   const TaskEncoder* encoder_;
   const JointSearchSpace* space_;
   ServeOptions options_;
-  RuntimeConfig config_;  ///< Snapshot the workers' ExecContexts carry.
 
   mutable TaskEmbedCache embed_cache_;
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/binio.h"
+#include "common/clock.h"
 #include "common/fault.h"
 #include "common/socketio.h"
 #include "common/subprocess.h"
@@ -25,7 +26,6 @@ namespace autocts {
 namespace {
 
 namespace fs = std::filesystem;
-using Clock = std::chrono::steady_clock;
 
 // ---- counters (the RuntimeStats "shard" family) --------------------------
 

@@ -12,8 +12,9 @@
 
 namespace autocts {
 
-/// Knobs of the sharded sample-collection run (seeded from AUTOCTS_SHARD_*
-/// via RuntimeConfig; AutoCtsOptions and the CLI override).
+/// Knobs of the sharded sample-collection run. The defaults below are the
+/// only source of the timing knobs; AutoCtsOptions and `pretrain --workers`
+/// set the worker count.
 struct ShardOptions {
   /// Worker processes to fork. Values <= 1 still run the full coordinator
   /// path with one worker — the configuration every multi-worker run must

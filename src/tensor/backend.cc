@@ -69,7 +69,6 @@ const Backend* ResolveStartupBackend() {
 
 std::atomic<uint64_t> g_gemm_micro_calls{0};
 std::atomic<uint64_t> g_gemm_small_calls{0};
-std::atomic<uint64_t> g_qgemm_s8_calls{0};
 std::atomic<uint64_t> g_qgemm_bf16_calls{0};
 
 BackendStats CollectBackendStats() {
@@ -77,7 +76,6 @@ BackendStats CollectBackendStats() {
   s.active = ActiveBackend().name;
   s.gemm_micro_calls = g_gemm_micro_calls.load(std::memory_order_relaxed);
   s.gemm_small_calls = g_gemm_small_calls.load(std::memory_order_relaxed);
-  s.qgemm_s8_calls = g_qgemm_s8_calls.load(std::memory_order_relaxed);
   s.qgemm_bf16_calls = g_qgemm_bf16_calls.load(std::memory_order_relaxed);
   return s;
 }
@@ -128,9 +126,6 @@ void NoteGemmMicro() {
 }
 void NoteGemmSmall() {
   g_gemm_small_calls.fetch_add(1, std::memory_order_relaxed);
-}
-void NoteQgemmS8() {
-  g_qgemm_s8_calls.fetch_add(1, std::memory_order_relaxed);
 }
 void NoteQgemmBf16() {
   g_qgemm_bf16_calls.fetch_add(1, std::memory_order_relaxed);

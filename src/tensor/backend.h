@@ -27,10 +27,9 @@ namespace kernels {
 /// every dispatched kernel across backends; callers may switch backends
 /// mid-run without invalidating captured step plans.
 ///
-/// The integer (int8) and bf16 kernels back the quantized comparator
-/// inference path (see comparator/quant.h): int32 accumulation is exact and
-/// the bf16 path accumulates fp32 in ascending-k order, so those too are
-/// bit-identical across backends.
+/// The bf16 kernel backs the quantized comparator inference path (see
+/// comparator/quant.h): it accumulates fp32 in ascending-k order, so it too
+/// is bit-identical across backends.
 /// ---------------------------------------------------------------------------
 
 /// Register-tile geometry of the blocked GEMM micro-kernel. Shared between
@@ -62,12 +61,6 @@ struct Backend {
                      const float* b, int64_t ldb, bool trans_b, float* c,
                      int64_t ldc, int m, int k, int n);
 
-  /// Quantized GEMM: C_i32[m,n] = sum_k A_s8[m,k] * B_s8[k,n], row-major,
-  /// int32 accumulation (exact — overflow-free for k*127^2 < 2^31, i.e.
-  /// k < ~133000, far above any layer here).
-  void (*qgemm_s8)(const int8_t* a, const int8_t* b, int32_t* c, int m,
-                   int k, int n);
-
   /// bf16-weight GEMM: C_f32[m,n] = sum_k A_f32[m,k] * f32(B_bf16[k,n]),
   /// fp32 accumulation in ascending-k order. The bf16 -> f32 widening is a
   /// bit shift, not arithmetic, so results are exact in the widened values.
@@ -96,7 +89,6 @@ std::vector<const Backend*> AvailableBackends();
 namespace counters {
 void NoteGemmMicro();
 void NoteGemmSmall();
-void NoteQgemmS8();
 void NoteQgemmBf16();
 }  // namespace counters
 

@@ -78,7 +78,7 @@ bool Avx2Supported() {
 
 const Backend kAvx2Backend = {
     "avx2",            &Avx2Supported,  &Avx2GemmMicro,
-    &GenericGemmSmall, &GenericQgemmS8, &GenericQgemmBf16,
+    &GenericGemmSmall, &GenericQgemmBf16,
 };
 
 }  // namespace

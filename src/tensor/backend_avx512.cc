@@ -68,7 +68,7 @@ bool Avx512Supported() {
 
 const Backend kAvx512Backend = {
     "avx512",          &Avx512Supported, &Avx512GemmMicro,
-    &GenericGemmSmall, &GenericQgemmS8,  &GenericQgemmBf16,
+    &GenericGemmSmall, &GenericQgemmBf16,
 };
 
 }  // namespace

@@ -24,7 +24,7 @@ bool NeonSupported() {
 
 const Backend kNeonBackend = {
     "neon",            &NeonSupported,  &GenericGemmMicro,
-    &GenericGemmSmall, &GenericQgemmS8, &GenericQgemmBf16,
+    &GenericGemmSmall, &GenericQgemmBf16,
 };
 
 }  // namespace

@@ -15,7 +15,7 @@ bool ScalarSupported() { return true; }
 
 const Backend kScalarBackend = {
     "scalar",          &ScalarSupported,  &GenericGemmMicro,
-    &GenericGemmSmall, &GenericQgemmS8,   &GenericQgemmBf16,
+    &GenericGemmSmall, &GenericQgemmBf16,
 };
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Parity of the runtime-dispatched kernel backends (tensor/backend.h): every
 // compiled-in, CPU-supported backend must produce memcmp-identical results
 // to the scalar oracle for every dispatched kernel — the float GEMMs across
-// a tail-exercising shape sweep, the quantized int8/bf16 GEMMs, and the
+// a tail-exercising shape sweep, the bf16-weight GEMM, and the
 // tensor-level MatMul under 1 and 4 threads with step-plan replay on and
 // off. This is the determinism contract that makes AUTOCTS_BACKEND a pure
 // performance knob.
@@ -116,41 +116,6 @@ TEST_F(BackendTest, GemmAccBitIdenticalAcrossBackends) {
             << backend->name << " diverges from scalar at " << m << "x" << k
             << "x" << n << " trans_a=" << trans_a;
       }
-    }
-  }
-}
-
-TEST_F(BackendTest, QgemmS8ExactAcrossBackends) {
-  Rng rng(11);
-  const int dims[][3] = {{1, 1, 1}, {3, 6, 5}, {13, 32, 17}, {64, 96, 33}};
-  for (const auto& s : dims) {
-    const int m = s[0], k = s[1], n = s[2];
-    std::vector<int8_t> a(static_cast<size_t>(m) * k);
-    std::vector<int8_t> b(static_cast<size_t>(k) * n);
-    for (auto& x : a) x = static_cast<int8_t>(rng.Int(-127, 127));
-    for (auto& x : b) x = static_cast<int8_t>(rng.Int(-127, 127));
-
-    std::vector<int32_t> want(static_cast<size_t>(m) * n);
-    kernels::ActiveBackend();  // Ensure dispatch is initialized.
-    for (const Backend* backend : AvailableBackends()) {
-      std::vector<int32_t> got(static_cast<size_t>(m) * n);
-      backend->qgemm_s8(a.data(), b.data(), got.data(), m, k, n);
-      if (backend == AvailableBackends().front()) {
-        want = got;
-        // Exactness spot check against a plain double accumulation.
-        for (int i = 0; i < m; ++i) {
-          for (int j = 0; j < n; ++j) {
-            int64_t acc = 0;
-            for (int kk = 0; kk < k; ++kk) {
-              acc += int64_t{a[static_cast<size_t>(i) * k + kk]} *
-                     b[static_cast<size_t>(kk) * n + j];
-            }
-            ASSERT_EQ(acc, got[static_cast<size_t>(i) * n + j]);
-          }
-        }
-        continue;
-      }
-      EXPECT_EQ(want, got) << backend->name << " int8 GEMM mismatch";
     }
   }
 }

@@ -278,7 +278,9 @@ TEST(SubsetTaskTest, DeriveSubsetKeepsStructure) {
 
 std::string MalformedCsvPath(const std::string& name,
                              const std::string& contents) {
-  std::string path = testing::TempDir() + "/" + name;
+  // Prefixed: parse_csv_test writes same-named files into the same
+  // directory, and ctest -j runs the two binaries concurrently.
+  std::string path = testing::TempDir() + "/data_test_" + name;
   std::ofstream(path) << contents;
   return path;
 }

@@ -1,7 +1,7 @@
 // The unified runtime configuration surface (common/runtime_config.h):
-// single-point environment parsing, the shared JSON serializer, the
-// ExecContext configuration carry, and the RuntimeStats snapshot that folds
-// pool/plan/guard/backend counters into one JSON object.
+// single-point environment parsing, the shared JSON serializer, and the
+// RuntimeStats snapshot that folds pool/plan/guard/backend counters into one
+// JSON object.
 #include "common/runtime_config.h"
 
 #include <cstdlib>
@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "common/jsonio.h"
-#include "common/parallel.h"
 #include "common/runtime_stats.h"
 #include "tensor/backend.h"
 #include "tensor/gemm.h"
@@ -60,109 +59,44 @@ TEST(RuntimeConfigTest, ParsesEveryKnob) {
   ScopedEnv threads("AUTOCTS_NUM_THREADS", "3");
   ScopedEnv pool("AUTOCTS_POOL_MB", "64");
   ScopedEnv backend("AUTOCTS_BACKEND", "scalar");
-  ScopedEnv precision("AUTOCTS_COMPARATOR_PRECISION", "int8");
+  ScopedEnv precision("AUTOCTS_COMPARATOR_PRECISION", "bf16");
+  ScopedEnv verify("AUTOCTS_BANK_VERIFY", "1");
   RuntimeConfig cfg = RuntimeConfig::FromEnv();
   EXPECT_EQ(cfg.num_threads, 3);
   EXPECT_EQ(cfg.pool_capacity_bytes, uint64_t{64} << 20);
   EXPECT_EQ(cfg.backend, "scalar");
-  EXPECT_EQ(cfg.comparator_precision, ComparatorPrecision::kInt8);
+  EXPECT_EQ(cfg.comparator_precision, ComparatorPrecision::kBf16);
+  EXPECT_TRUE(cfg.bank_verify_on_open);
 }
 
-TEST(RuntimeConfigTest, ParsesServeKnobs) {
-  {
-    unsetenv("AUTOCTS_SERVE_PORT");
-    unsetenv("AUTOCTS_SERVE_WORKERS");
-    unsetenv("AUTOCTS_SERVE_MAX_BATCH");
-    unsetenv("AUTOCTS_SERVE_MAX_DELAY_US");
-    unsetenv("AUTOCTS_SERVE_EMBED_CACHE");
-    RuntimeConfig cfg = RuntimeConfig::FromEnv();
-    EXPECT_EQ(cfg.serve_port, 8080);
-    EXPECT_EQ(cfg.serve_workers, 2);
-    EXPECT_EQ(cfg.serve_max_batch, 8);
-    EXPECT_EQ(cfg.serve_max_delay_us, 200);
-    EXPECT_EQ(cfg.serve_embed_cache_entries, 64u);
+TEST(RuntimeConfigTest, RetiredKnobsAreIgnored) {
+  // The serving and shard knobs are per-command flags now, and int8
+  // inference is gone: setting any of them must leave the parsed
+  // configuration, and what print-config / GET /config show, untouched.
+  for (const char* live :
+       {"AUTOCTS_NUM_THREADS", "AUTOCTS_POOL_MB", "AUTOCTS_BACKEND",
+        "AUTOCTS_COMPARATOR_PRECISION", "AUTOCTS_BANK_VERIFY"}) {
+    unsetenv(live);
   }
-  {
-    ScopedEnv port("AUTOCTS_SERVE_PORT", "9191");
-    ScopedEnv workers("AUTOCTS_SERVE_WORKERS", "4");
-    ScopedEnv batch("AUTOCTS_SERVE_MAX_BATCH", "16");
-    ScopedEnv delay("AUTOCTS_SERVE_MAX_DELAY_US", "1000");
-    ScopedEnv cache("AUTOCTS_SERVE_EMBED_CACHE", "128");
-    RuntimeConfig cfg = RuntimeConfig::FromEnv();
-    EXPECT_EQ(cfg.serve_port, 9191);
-    EXPECT_EQ(cfg.serve_workers, 4);
-    EXPECT_EQ(cfg.serve_max_batch, 16);
-    EXPECT_EQ(cfg.serve_max_delay_us, 1000);
-    EXPECT_EQ(cfg.serve_embed_cache_entries, 128u);
-  }
-  {
-    // Out-of-range or unparseable values keep defaults (port is 16-bit,
-    // max_batch must be positive, the others non-negative).
-    ScopedEnv port("AUTOCTS_SERVE_PORT", "70000");
-    ScopedEnv workers("AUTOCTS_SERVE_WORKERS", "-1");
-    ScopedEnv batch("AUTOCTS_SERVE_MAX_BATCH", "0");
-    ScopedEnv delay("AUTOCTS_SERVE_MAX_DELAY_US", "-5");
-    ScopedEnv cache("AUTOCTS_SERVE_EMBED_CACHE", "lots");
-    RuntimeConfig cfg = RuntimeConfig::FromEnv();
-    EXPECT_EQ(cfg.serve_port, 8080);
-    EXPECT_EQ(cfg.serve_workers, 2);
-    EXPECT_EQ(cfg.serve_max_batch, 8);
-    EXPECT_EQ(cfg.serve_max_delay_us, 200);
-    EXPECT_EQ(cfg.serve_embed_cache_entries, 64u);
-  }
-  // print-config surfaces the serving knobs through the shared serializer.
-  RuntimeConfig cfg;
-  const std::string json = cfg.ToJson();
-  EXPECT_NE(json.find("\"serve_port\": 8080"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"serve_max_batch\": 8"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"serve_embed_cache_entries\": 64"), std::string::npos)
-      << json;
-}
-
-TEST(RuntimeConfigTest, ParsesShardKnobs) {
-  {
-    unsetenv("AUTOCTS_SHARD_WORKERS");
-    unsetenv("AUTOCTS_SHARD_HEARTBEAT_MS");
-    unsetenv("AUTOCTS_SHARD_STEAL_TIMEOUT_MS");
-    RuntimeConfig cfg = RuntimeConfig::FromEnv();
-    EXPECT_EQ(cfg.shard_workers, 0);
-    EXPECT_EQ(cfg.shard_heartbeat_ms, 250);
-    EXPECT_EQ(cfg.shard_steal_timeout_ms, 10000);
-  }
-  {
-    ScopedEnv workers("AUTOCTS_SHARD_WORKERS", "4");
-    ScopedEnv heartbeat("AUTOCTS_SHARD_HEARTBEAT_MS", "100");
-    ScopedEnv steal("AUTOCTS_SHARD_STEAL_TIMEOUT_MS", "2500");
-    RuntimeConfig cfg = RuntimeConfig::FromEnv();
-    EXPECT_EQ(cfg.shard_workers, 4);
-    EXPECT_EQ(cfg.shard_heartbeat_ms, 100);
-    EXPECT_EQ(cfg.shard_steal_timeout_ms, 2500);
-  }
-  {
-    // Workers = 0 is meaningful (in-process collection); negative or
-    // unparseable values keep defaults, and the interval knobs must be
-    // positive.
-    ScopedEnv workers("AUTOCTS_SHARD_WORKERS", "0");
-    ScopedEnv heartbeat("AUTOCTS_SHARD_HEARTBEAT_MS", "0");
-    ScopedEnv steal("AUTOCTS_SHARD_STEAL_TIMEOUT_MS", "plenty");
-    RuntimeConfig cfg = RuntimeConfig::FromEnv();
-    EXPECT_EQ(cfg.shard_workers, 0);
-    EXPECT_EQ(cfg.shard_heartbeat_ms, 250);
-    EXPECT_EQ(cfg.shard_steal_timeout_ms, 10000);
-  }
-  {
-    ScopedEnv workers("AUTOCTS_SHARD_WORKERS", "-2");
-    RuntimeConfig cfg = RuntimeConfig::FromEnv();
-    EXPECT_EQ(cfg.shard_workers, 0);
-  }
-  // print-config surfaces the shard knobs.
-  RuntimeConfig cfg;
-  const std::string json = cfg.ToJson();
-  EXPECT_NE(json.find("\"shard_workers\": 0"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"shard_heartbeat_ms\": 250"), std::string::npos)
-      << json;
-  EXPECT_NE(json.find("\"shard_steal_timeout_ms\": 10000"), std::string::npos)
-      << json;
+  const std::string unset_json = RuntimeConfig::FromEnv().ToJson();
+  ScopedEnv port("AUTOCTS_SERVE_PORT", "9191");
+  ScopedEnv workers("AUTOCTS_SERVE_WORKERS", "4");
+  ScopedEnv batch("AUTOCTS_SERVE_MAX_BATCH", "16");
+  ScopedEnv delay("AUTOCTS_SERVE_MAX_DELAY_US", "1000");
+  ScopedEnv cache("AUTOCTS_SERVE_EMBED_CACHE", "128");
+  ScopedEnv shard_workers("AUTOCTS_SHARD_WORKERS", "4");
+  ScopedEnv heartbeat("AUTOCTS_SHARD_HEARTBEAT_MS", "100");
+  ScopedEnv steal("AUTOCTS_SHARD_STEAL_TIMEOUT_MS", "2500");
+  ScopedEnv precision("AUTOCTS_COMPARATOR_PRECISION", "int8");
+  const RuntimeConfig cfg = RuntimeConfig::FromEnv();
+  const RuntimeConfig defaults;
+  EXPECT_EQ(cfg.num_threads, defaults.num_threads);
+  EXPECT_EQ(cfg.pool_capacity_bytes, defaults.pool_capacity_bytes);
+  EXPECT_EQ(cfg.backend, defaults.backend);
+  EXPECT_EQ(cfg.comparator_precision, ComparatorPrecision::kFp32);
+  EXPECT_EQ(cfg.bank_verify_on_open, defaults.bank_verify_on_open);
+  EXPECT_EQ(cfg.ToJson(), unset_json);
+  EXPECT_EQ(cfg.ToJson(), defaults.ToJson());
 }
 
 TEST(RuntimeConfigTest, DisableFlagTruthinessMatchesHistoricalGetenv) {
@@ -202,15 +136,7 @@ TEST(RuntimeConfigTest, ToJsonListsEveryKnob) {
       "\"pool_capacity_bytes\": 268435456",
       "\"backend\": \"avx2\"",
       "\"comparator_precision\": \"bf16\"",
-      "\"serve_port\": 8080",
-      "\"serve_workers\": 2",
-      "\"serve_max_batch\": 8",
-      "\"serve_max_delay_us\": 200",
-      "\"serve_embed_cache_entries\": 64",
       "\"bank_verify_on_open\": false",
-      "\"shard_workers\": 0",
-      "\"shard_heartbeat_ms\": 250",
-      "\"shard_steal_timeout_ms\": 10000",
   };
   for (const char* field : kFields) {
     EXPECT_NE(json.find(field), std::string::npos) << field << " in " << json;
@@ -222,20 +148,7 @@ TEST(RuntimeConfigTest, ToJsonListsEveryKnob) {
     ++separators;
   }
   EXPECT_EQ(separators, std::size(kFields)) << json;
-}
-
-TEST(RuntimeConfigTest, ExecContextCarriesOverride) {
-  RuntimeConfig cfg;
-  cfg.comparator_precision = ComparatorPrecision::kInt8;
-  cfg.backend = "scalar";
-  ExecContext ctx;
-  EXPECT_EQ(&ctx.effective_config(), &GlobalRuntimeConfig());
-  ctx.config = &cfg;
-  EXPECT_EQ(ctx.effective_config().comparator_precision,
-            ComparatorPrecision::kInt8);
-  EXPECT_EQ(ctx.effective_config().backend, "scalar");
-  // WithSeed must preserve the override like every other context field.
-  EXPECT_EQ(ctx.WithSeed(9).effective_config().backend, "scalar");
+  EXPECT_EQ(std::size(kFields), 5u);
 }
 
 TEST(RuntimeStatsTest, SnapshotFoldsBackendCounters) {

@@ -8,7 +8,9 @@
 
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -89,7 +91,7 @@ TEST(TaskEmbedCacheTest, ContextChangeInvalidates) {
   EXPECT_TRUE(hit);
   // The service derives the context from (backend, comparator precision), so
   // a SetActiveBackend or precision swap lands here as a different string.
-  cache.SetContext("scalar/int8");
+  cache.SetContext("scalar/bf16");
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.stats().invalidations, 1u);
   cache.GetOrCompute(1, [] { return ScalarTensor(1); }, &hit);
@@ -245,17 +247,15 @@ TEST(ServingTest, QuantizedPrecisionsDeterministicAcrossBatching) {
   ServeFixture fx;
   std::vector<RecommendRequest> reqs;
   for (uint64_t s : {21u, 22u, 21u, 23u}) reqs.push_back(fx.Request(s));
-  for (ComparatorPrecision precision :
-       {ComparatorPrecision::kBf16, ComparatorPrecision::kInt8}) {
-    ServeOptions unbatched = TinyServe(1, 1);
-    unbatched.precision = precision;
-    ServeOptions batched = TinyServe(2, 8);
-    batched.precision = precision;
-    const auto a = ServeAll(&fx, reqs, unbatched);
-    const auto b = ServeAll(&fx, reqs, batched);
-    EXPECT_EQ(a, b) << "precision " << ComparatorPrecisionName(precision);
-    EXPECT_EQ(a[0], a[2]);  // Rank agreement between identical requests.
-  }
+  const ComparatorPrecision precision = ComparatorPrecision::kBf16;
+  ServeOptions unbatched = TinyServe(1, 1);
+  unbatched.precision = precision;
+  ServeOptions batched = TinyServe(2, 8);
+  batched.precision = precision;
+  const auto a = ServeAll(&fx, reqs, unbatched);
+  const auto b = ServeAll(&fx, reqs, batched);
+  EXPECT_EQ(a, b) << "precision " << ComparatorPrecisionName(precision);
+  EXPECT_EQ(a[0], a[2]);  // Rank agreement between identical requests.
 }
 
 TEST(ServingTest, MatchesLibrarySearcherAtGenerationsZero) {
@@ -316,6 +316,15 @@ TEST(ServingTest, ValidatesRequests) {
   short_window.p = 30;
   short_window.q = 30;  // p + q > num_steps.
   EXPECT_FALSE(service.Recommend(short_window).ok());
+  // p + q past INT_MAX must be rejected, not wrap negative past the check.
+  RecommendRequest huge = fx.Request(53);
+  huge.p = std::numeric_limits<int>::max();
+  huge.q = 1;
+  const StatusOr<Recommendation> rejected = service.Recommend(huge);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_NE(rejected.status().message().find("window too short"),
+            std::string::npos)
+      << rejected.status().message();
   service.Shutdown();
 }
 
@@ -426,14 +435,26 @@ TEST(HttpTest, RecommendStatsAndHealthRoundTrip) {
     }
     body << "\n";
   }
-  std::ostringstream post;
-  post << "POST /recommend?p=8&q=8&topk=2 HTTP/1.1\r\nHost: x\r\n"
-       << "Content-Length: " << body.str().size() << "\r\n\r\n"
-       << body.str();
-  const std::string response = HttpRequest(server.port(), post.str());
+  auto recommend = [&](const std::string& query) {
+    std::ostringstream post;
+    post << "POST /recommend?" << query << " HTTP/1.1\r\nHost: x\r\n"
+         << "Content-Length: " << body.str().size() << "\r\n\r\n"
+         << body.str();
+    return HttpRequest(server.port(), post.str());
+  };
+  const std::string response = recommend("p=8&q=8&topk=2");
   EXPECT_NE(response.find("200 OK"), std::string::npos) << response;
   EXPECT_NE(response.find("\"ranked\""), std::string::npos) << response;
   EXPECT_NE(response.find("\"task_signature\""), std::string::npos);
+
+  // Hostile query integers: a value that is not an int is a 400; an int so
+  // large that p + q would overflow parses, then fails validation (422).
+  for (const char* query :
+       {"p=abc", "p=8x", "p=", "p=2147483648&q=8", "p=8&q=-99999999999"}) {
+    EXPECT_NE(recommend(query).find("400 Bad Request"), std::string::npos)
+        << query;
+  }
+  EXPECT_NE(recommend("p=2147483647&q=1").find("422"), std::string::npos);
 
   const std::string stats =
       HttpRequest(server.port(), "GET /stats HTTP/1.1\r\nHost: x\r\n\r\n");
