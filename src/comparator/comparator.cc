@@ -36,9 +36,21 @@ Tensor Comparator::EmbedTask(const Tensor& preliminary) const {
 Tensor Comparator::CompareLogits(const EncodingBatch& first,
                                  const EncodingBatch& second,
                                  const Tensor& task_embeds) const {
-  const int m = first.adjacency.dim(0);
-  Tensor l1 = gin_.Forward(first);   // [M, D]
-  Tensor l2 = gin_.Forward(second);  // [M, D]
+  // Sequenced: the tape order (and so the gradient accumulation order of
+  // the shared GIN weights) must be first, then second.
+  Tensor l1 = EmbedArchHypers(first);   // [M, D]
+  Tensor l2 = EmbedArchHypers(second);  // [M, D]
+  return CompareEmbedded(l1, l2, task_embeds);
+}
+
+Tensor Comparator::EmbedArchHypers(const EncodingBatch& batch) const {
+  return gin_.Forward(batch);  // [B, D]
+}
+
+Tensor Comparator::CompareEmbedded(const Tensor& l1, const Tensor& l2,
+                                   const Tensor& task_embeds) const {
+  const int m = l1.dim(0);
+  CHECK_EQ(l2.dim(0), m);
   Tensor pair =
       fc_pair_->Forward(Concat({l1, l2}, -1), FusedAct::kRelu);  // Eq. 16–17.
   Tensor o = pair;

@@ -41,8 +41,20 @@ class Comparator : public Module {
 
   /// Logits for a batch of comparisons. `task_embeds` is [M, f2] (aligned
   /// with the pairs) when task_aware, ignored otherwise. Output [M].
+  /// Equals CompareEmbedded(EmbedArchHypers(first), EmbedArchHypers(second),
+  /// task_embeds).
   Tensor CompareLogits(const EncodingBatch& first, const EncodingBatch& second,
                        const Tensor& task_embeds) const;
+
+  /// The Siamese half (Eq. 13–16): the shared GIN embeds each arch-hyper on
+  /// its own, [B] encodings -> l_a [B, D]. Row-local, so one embedding
+  /// serves every duel its arch-hyper takes part in.
+  Tensor EmbedArchHypers(const EncodingBatch& batch) const;
+
+  /// The pair head (Eq. 17–21) over embedded rows: `l1`, `l2` [M, D] and
+  /// `task_embeds` as in CompareLogits. Output [M] logits.
+  Tensor CompareEmbedded(const Tensor& l1, const Tensor& l2,
+                         const Tensor& task_embeds) const;
 
   /// Probability that `first` is at least as accurate as `second` on the
   /// task (single pair, eval mode).

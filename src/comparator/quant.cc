@@ -156,17 +156,27 @@ std::vector<float> QuantizedComparator::CompareLogits(
     const Tensor& task_embeds) const {
   const int m = first.adjacency.dim(0);
   CHECK_EQ(second.adjacency.dim(0), m);
-  const int d = embed_dim_;
   const std::vector<float> l1 = GinForward(first);
   const std::vector<float> l2 = GinForward(second);
+  const float* te = nullptr;
+  if (task_aware_) {
+    CHECK(task_embeds.defined());
+    CHECK_EQ(task_embeds.dim(0), m);
+    te = task_embeds.data().data();
+  }
+  return CompareEmbedded(l1.data(), l2.data(), m, te);
+}
 
+std::vector<float> QuantizedComparator::CompareEmbedded(
+    const float* l1, const float* l2, int m, const float* task_embeds) const {
+  const int d = embed_dim_;
   std::vector<float> pair_in(static_cast<size_t>(m) * 2 * d);
   for (int r = 0; r < m; ++r) {
-    std::copy(l1.begin() + static_cast<int64_t>(r) * d,
-              l1.begin() + static_cast<int64_t>(r + 1) * d,
+    std::copy(l1 + static_cast<int64_t>(r) * d,
+              l1 + static_cast<int64_t>(r + 1) * d,
               pair_in.begin() + static_cast<int64_t>(r) * 2 * d);
-    std::copy(l2.begin() + static_cast<int64_t>(r) * d,
-              l2.begin() + static_cast<int64_t>(r + 1) * d,
+    std::copy(l2 + static_cast<int64_t>(r) * d,
+              l2 + static_cast<int64_t>(r + 1) * d,
               pair_in.begin() + static_cast<int64_t>(r) * 2 * d + d);
   }
   std::vector<float> pair(static_cast<size_t>(m) * fc_dim_);
@@ -175,10 +185,9 @@ std::vector<float> QuantizedComparator::CompareLogits(
   std::vector<float> o;
   int o_cols = fc_dim_;
   if (task_aware_) {
-    CHECK(task_embeds.defined());
-    CHECK_EQ(task_embeds.dim(0), m);
+    CHECK(task_embeds != nullptr);
     std::vector<float> te(static_cast<size_t>(m) * fc_dim_);
-    Apply(fc_task_, task_embeds.data().data(), m, te.data(), /*relu=*/true);
+    Apply(fc_task_, task_embeds, m, te.data(), /*relu=*/true);
     o_cols = 2 * fc_dim_;
     o.resize(static_cast<size_t>(m) * o_cols);
     for (int r = 0; r < m; ++r) {

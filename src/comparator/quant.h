@@ -50,6 +50,16 @@ class QuantizedComparator {
                                    const EncodingBatch& second,
                                    const Tensor& task_embeds) const;
 
+  /// The quantized Siamese half: replays GinEncoder::Forward (mirrors
+  /// Comparator::EmbedArchHypers); returns row-major [B, embed_dim].
+  std::vector<float> GinForward(const EncodingBatch& batch) const;
+
+  /// The quantized pair head (mirrors Comparator::CompareEmbedded): `l1`,
+  /// `l2` are row-major [m, embed_dim], `task_embeds` [m, f2] when the
+  /// source comparator is task-aware (ignored otherwise). Returns m logits.
+  std::vector<float> CompareEmbedded(const float* l1, const float* l2, int m,
+                                     const float* task_embeds) const;
+
   ComparatorPrecision precision() const { return precision_; }
 
  private:
@@ -68,8 +78,6 @@ class QuantizedComparator {
   /// y[rows, q.out] = (relu? relu : id)(x[rows, q.in] · W + b).
   void Apply(const QLinear& q, const float* x, int rows, float* y,
              bool relu) const;
-  /// Replays GinEncoder::Forward; returns row-major [B, embed_dim_].
-  std::vector<float> GinForward(const EncodingBatch& batch) const;
 
   ComparatorPrecision precision_;
   bool task_aware_ = false;

@@ -1,38 +1,15 @@
 #include "search/evolutionary.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <memory>
 #include <numeric>
 
-#include "common/guard.h"
 #include "common/runtime_config.h"
+#include "comparator/duels.h"
 #include "tensor/ops.h"
-#include "tensor/plan.h"
 
 namespace autocts {
-
-namespace {
-
-/// Per-thread cache of compiled comparator-inference plans, one per batch
-/// size, valid for one (comparator, task embedding) context. Thread-local
-/// because a StepPlan must replay on the thread that captured it, and
-/// ComparePairs fans batches out across the pool.
-struct TlsCompareCache {
-  const void* comparator = nullptr;
-  const void* task_embed = nullptr;
-  /// Pins the task embedding's storage so `task_embed` can never be a
-  /// recycled-address false match (ABA) while this cache context is live.
-  Tensor task_embed_keep;
-  /// Constant [1, f2] view of the embedding, shared by every captured plan.
-  Tensor task_row;
-  std::map<int, std::unique_ptr<StepPlan>> by_batch;
-};
-
-thread_local TlsCompareCache t_compare_cache;
-
-}  // namespace
 
 EvolutionarySearcher::EvolutionarySearcher(const Comparator* comparator,
                                            const JointSearchSpace* space,
@@ -48,152 +25,71 @@ std::vector<bool> EvolutionarySearcher::ComparePairs(
     int compare_batch) const {
   std::vector<bool> wins(pairs.size());
   const bool task_aware = comparator_->options().task_aware;
-  const int f2 = comparator_->options().f2;
   if (task_aware) CHECK(task_embed.defined());
-  auto record_raw = [&](size_t begin, int m, const float* logits) {
-    for (int i = 0; i < m; ++i) {
-      const float logit = logits[i];
-      if (GuardsEnabled() && !std::isfinite(logit)) {
-        // A NaN/inf logit carries no preference; count it and fall back to
-        // the deterministic "second wins" outcome (same verdict NaN >= 0
-        // would yield, but now observable in the RobustnessReport).
-        nonfinite_comparisons_.fetch_add(1, std::memory_order_relaxed);
-        wins[begin + static_cast<size_t>(i)] = false;
-        continue;
+  if (!comparator_->training()) {
+    // Eval mode: embed each referenced candidate once, then score every
+    // duel with the head only (comparator/duels.h), fanned out over the
+    // pool. Precision bf16 runs the quantized halves of the same passes.
+    DuelTable table;
+    std::vector<int> slot(enc.size(), -1);
+    auto candidate = [&](int i) {
+      int& s = slot[static_cast<size_t>(i)];
+      if (s < 0) {
+        s = static_cast<int>(table.candidates.size());
+        table.candidates.push_back(&enc[static_cast<size_t>(i)]);
       }
-      wins[begin + static_cast<size_t>(i)] = logit >= 0.0f;
+      return s;
+    };
+    if (task_aware) table.task_rows.push_back(task_embed);
+    table.duels.reserve(pairs.size());
+    for (const auto& p : pairs) {
+      const int first = candidate(p.first);
+      table.duels.push_back({first, candidate(p.second), 0});
     }
-  };
-  auto record_logits = [&](size_t begin, int m, const Tensor& logits) {
-    record_raw(begin, m, logits.data().data());
-  };
-  auto stack_batch = [&](size_t begin, size_t end, EncodingBatch* b1,
-                         EncodingBatch* b2) {
-    std::vector<ArchHyperEncoding> first, second;
-    for (size_t p = begin; p < end; ++p) {
-      first.push_back(enc[static_cast<size_t>(pairs[p].first)]);
-      second.push_back(enc[static_cast<size_t>(pairs[p].second)]);
-    }
-    *b1 = StackEncodings(first);
-    *b2 = StackEncodings(second);
-  };
-  const int64_t num_batches =
-      (static_cast<int64_t>(pairs.size()) + compare_batch - 1) / compare_batch;
-  const ComparatorPrecision precision =
-      GlobalRuntimeConfig().comparator_precision;
-  if (!comparator_->training() && precision != ComparatorPrecision::kFp32) {
-    // Quantized inference path (AUTOCTS_COMPARATOR_PRECISION=bf16):
-    // off-tape raw-buffer forward through the active kernel backend's bf16
-    // GEMM — no tape, no plans, so it bypasses the plan cache entirely.
-    // Batches stay independent, so the same fan-out applies.
-    const QuantizedComparator* quant = Quantized(precision);
+    const ComparatorPrecision precision =
+        GlobalRuntimeConfig().comparator_precision;
+    const QuantizedComparator* quant =
+        precision != ComparatorPrecision::kFp32 ? Quantized(precision)
+                                                : nullptr;
     ExecScope scope(ctx_);
-    ParallelFor(0, num_batches, 1, [&](int64_t b0, int64_t b1r) {
-      NoGradScope no_grad;
-      Tensor task_row;
-      if (task_aware) task_row = Reshape(task_embed, {1, f2});
-      for (int64_t bi = b0; bi < b1r; ++bi) {
-        const size_t begin =
-            static_cast<size_t>(bi) * static_cast<size_t>(compare_batch);
-        const size_t end =
-            std::min(pairs.size(), begin + static_cast<size_t>(compare_batch));
-        const int m = static_cast<int>(end - begin);
-        EncodingBatch eb1, eb2;
-        stack_batch(begin, end, &eb1, &eb2);
-        Tensor task_embeds;
-        if (task_aware) {
-          std::vector<Tensor> rows(static_cast<size_t>(m), task_row);
-          task_embeds = Concat(rows, 0);
-        }
-        const std::vector<float> logits =
-            quant->CompareLogits(eb1, eb2, task_embeds);
-        record_raw(begin, m, logits.data());
-      }
-    });
+    const DuelOutcomes outcomes =
+        CompareDuels(*comparator_, quant, table, compare_batch);
+    nonfinite_comparisons_.fetch_add(outcomes.nonfinite,
+                                     std::memory_order_relaxed);
+    for (size_t p = 0; p < pairs.size(); ++p) {
+      wins[p] = outcomes.first_wins[p] != 0;
+    }
     return wins;
   }
-  if (!comparator_->training()) {
-    // Eval-mode inference is pure (dropout is a no-op, so no shared RNG),
-    // and batches are independent — fan them out across the pool. Each
-    // worker compiles one inference plan per batch size (captured under
-    // NoGradScope, so pure intermediates live in the plan's bump arena) and
-    // replays it for every later batch of that size.
-    ExecScope scope(ctx_);
-    ParallelFor(0, num_batches, 1, [&](int64_t b0, int64_t b1r) {
-      NoGradScope no_grad;
-      TlsCompareCache& cache = t_compare_cache;
-      const void* embed_key = task_aware
-                                  ? static_cast<const void*>(task_embed.impl())
-                                  : nullptr;
-      if (cache.comparator != static_cast<const void*>(comparator_) ||
-          cache.task_embed != embed_key) {
-        cache.by_batch.clear();
-        cache.comparator = comparator_;
-        cache.task_embed = embed_key;
-        cache.task_embed_keep = task_aware ? task_embed : Tensor();
-        cache.task_row =
-            task_aware ? Reshape(task_embed, {1, f2}) : Tensor();
-      }
-      for (int64_t bi = b0; bi < b1r; ++bi) {
-        const size_t begin =
-            static_cast<size_t>(bi) * static_cast<size_t>(compare_batch);
-        const size_t end =
-            std::min(pairs.size(), begin + static_cast<size_t>(compare_batch));
-        const int m = static_cast<int>(end - begin);
-        EncodingBatch eb1, eb2;
-        stack_batch(begin, end, &eb1, &eb2);
-        std::vector<Tensor> step_inputs = {eb1.adjacency, eb1.op_onehot,
-                                           eb1.hyper,     eb2.adjacency,
-                                           eb2.op_onehot, eb2.hyper};
-        std::unique_ptr<StepPlan>& plan = cache.by_batch[m];
-        if (plan == nullptr) plan = std::make_unique<StepPlan>();
-        if (plan->ready() && !plan->MatchesInputs(step_inputs)) {
-          plan->Invalidate();
-        }
-        if (plan->ready()) {
-          plan->BeginStep(step_inputs);
-          plan->RunForward();
-          record_logits(begin, m, plan->output(0));
-          continue;
-        }
-        const bool capture =
-            plan::PlansEnabled() && !plan->capture_failed() &&
-            LiveTapeNodesThisThread() == plan::PinnedTapeNodesThisThread();
-        if (capture) plan->BeginCapture(step_inputs, "compare_logits");
-        Tensor task_embeds;
-        if (task_aware) {
-          std::vector<Tensor> rows(static_cast<size_t>(m), cache.task_row);
-          task_embeds = Concat(rows, 0);
-        }
-        Tensor logits = comparator_->CompareLogits(eb1, eb2, task_embeds);
-        if (capture) {
-          plan->AddOutput(logits);
-          plan->EndCapture();
-        }
-        record_logits(begin, m, logits);
-      }
-    });
-  } else {
-    // Training mode shares one dropout RNG; keep the sequential draw order
-    // and stay eager (the graph must re-tape every step).
-    Tensor task_row;
-    if (task_aware) task_row = Reshape(task_embed, {1, f2});
-    for (int64_t bi = 0; bi < num_batches; ++bi) {
-      const size_t begin =
-          static_cast<size_t>(bi) * static_cast<size_t>(compare_batch);
-      const size_t end =
-          std::min(pairs.size(), begin + static_cast<size_t>(compare_batch));
-      const int m = static_cast<int>(end - begin);
-      EncodingBatch eb1, eb2;
-      stack_batch(begin, end, &eb1, &eb2);
-      Tensor task_embeds;
-      if (task_aware) {
-        std::vector<Tensor> rows(static_cast<size_t>(m), task_row);
-        task_embeds = Concat(rows, 0);
-      }
-      Tensor logits = comparator_->CompareLogits(eb1, eb2, task_embeds);
-      record_logits(begin, m, logits);
+  // Training mode shares one dropout RNG; keep the sequential draw order
+  // and stay eager (the graph must re-tape every step).
+  Tensor task_row;
+  if (task_aware) {
+    task_row = Reshape(task_embed, {1, comparator_->options().f2});
+  }
+  for (size_t begin = 0; begin < pairs.size();
+       begin += static_cast<size_t>(compare_batch)) {
+    const size_t end =
+        std::min(pairs.size(), begin + static_cast<size_t>(compare_batch));
+    const int m = static_cast<int>(end - begin);
+    std::vector<const ArchHyperEncoding*> first, second;
+    for (size_t p = begin; p < end; ++p) {
+      first.push_back(&enc[static_cast<size_t>(pairs[p].first)]);
+      second.push_back(&enc[static_cast<size_t>(pairs[p].second)]);
     }
+    Tensor task_embeds;
+    if (task_aware) {
+      std::vector<Tensor> rows(static_cast<size_t>(m), task_row);
+      task_embeds = Concat(rows, 0);
+    }
+    Tensor logits = comparator_->CompareLogits(
+        StackEncodings(first), StackEncodings(second), task_embeds);
+    int64_t nonfinite = 0;
+    for (int i = 0; i < m; ++i) {
+      wins[begin + static_cast<size_t>(i)] =
+          FirstWins(logits.data()[static_cast<size_t>(i)], &nonfinite);
+    }
+    nonfinite_comparisons_.fetch_add(nonfinite, std::memory_order_relaxed);
   }
   return wins;
 }

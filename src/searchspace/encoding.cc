@@ -1,6 +1,9 @@
 #include "searchspace/encoding.h"
 
+#include <algorithm>
+
 #include "common/check.h"
+#include "tensor/buffer_pool.h"
 
 namespace autocts {
 
@@ -48,19 +51,35 @@ ArchHyperEncoding EncodeArchHyper(const ArchHyper& ah) {
 }
 
 EncodingBatch StackEncodings(const std::vector<ArchHyperEncoding>& encodings) {
+  std::vector<const ArchHyperEncoding*> borrowed;
+  borrowed.reserve(encodings.size());
+  for (const ArchHyperEncoding& e : encodings) borrowed.push_back(&e);
+  return StackEncodings(borrowed);
+}
+
+EncodingBatch StackEncodings(
+    const std::vector<const ArchHyperEncoding*>& encodings) {
   CHECK(!encodings.empty());
   const int b = static_cast<int>(encodings.size());
-  std::vector<float> adj;
-  std::vector<float> ops;
-  std::vector<float> hyper;
-  adj.reserve(static_cast<size_t>(b) * kEncodingNodes * kEncodingNodes);
-  ops.reserve(static_cast<size_t>(b) * kEncodingNodes * kNumOpTypes);
-  hyper.reserve(static_cast<size_t>(b) * 6);
-  for (const ArchHyperEncoding& e : encodings) {
-    adj.insert(adj.end(), e.adjacency.begin(), e.adjacency.end());
-    ops.insert(ops.end(), e.op_onehot.begin(), e.op_onehot.end());
-    hyper.insert(hyper.end(), e.hyper_features.begin(),
-                 e.hyper_features.end());
+  constexpr int kAdj = kEncodingNodes * kEncodingNodes;
+  constexpr int kOps = kEncodingNodes * kNumOpTypes;
+  // Pool-backed buffers: the tensors hand them back to the BufferPool when
+  // they die, and a buffer the pool gave out re-enters the bucket it came
+  // from. A fresh std::vector would land one bucket low (its capacity is
+  // not a power of two) and be pooled for good, growing the pool per call.
+  BufferPool& pool = BufferPool::Global();
+  std::vector<float> adj = pool.Acquire(int64_t{b} * kAdj);
+  std::vector<float> ops = pool.Acquire(int64_t{b} * kOps);
+  std::vector<float> hyper = pool.Acquire(int64_t{b} * 6);
+  for (int i = 0; i < b; ++i) {
+    const ArchHyperEncoding& e = *encodings[static_cast<size_t>(i)];
+    CHECK_EQ(static_cast<int>(e.adjacency.size()), kAdj);
+    CHECK_EQ(static_cast<int>(e.op_onehot.size()), kOps);
+    CHECK_EQ(static_cast<int>(e.hyper_features.size()), 6);
+    std::copy(e.adjacency.begin(), e.adjacency.end(), adj.begin() + i * kAdj);
+    std::copy(e.op_onehot.begin(), e.op_onehot.end(), ops.begin() + i * kOps);
+    std::copy(e.hyper_features.begin(), e.hyper_features.end(),
+              hyper.begin() + i * 6);
   }
   EncodingBatch batch;
   batch.adjacency =

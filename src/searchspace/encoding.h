@@ -49,6 +49,9 @@ struct EncodingBatch {
   Tensor hyper;
 };
 EncodingBatch StackEncodings(const std::vector<ArchHyperEncoding>& encodings);
+/// The same over borrowed encodings (no per-encoding copy).
+EncodingBatch StackEncodings(
+    const std::vector<const ArchHyperEncoding*>& encodings);
 
 }  // namespace autocts
 

@@ -249,14 +249,12 @@ void HttpServer::Stop() {
   if (accept_thread_.joinable()) accept_thread_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  std::vector<std::thread> handlers;
+  std::vector<Handler> handlers;
   {
     std::lock_guard<std::mutex> lock(handlers_mu_);
     handlers.swap(handlers_);
   }
-  for (std::thread& t : handlers) {
-    if (t.joinable()) t.join();
-  }
+  for (Handler& h : handlers) h.thread.join();
 }
 
 void HttpServer::AcceptLoop() {
@@ -267,20 +265,25 @@ void HttpServer::AcceptLoop() {
       continue;  // Transient (EINTR etc.).
     }
     std::lock_guard<std::mutex> lock(handlers_mu_);
-    // Reap handlers that already finished so long-lived servers don't
-    // accumulate joinable-but-done threads... joinable threads can't be
-    // probed portably, so just bound growth: join all once past the cap
-    // (handlers are short-lived — Connection: close).
-    if (handlers_.size() > 64) {
-      for (std::thread& t : handlers_) {
-        if (t.joinable()) t.join();
+    // Reap finished handlers so a long-lived server does not accumulate
+    // done threads. Only finished ones: joining a live handler here would
+    // stall accept() for every client behind one that never sends.
+    for (size_t i = 0; i < handlers_.size();) {
+      if (handlers_[i].done->load(std::memory_order_acquire)) {
+        handlers_[i].thread.join();
+        std::swap(handlers_[i], handlers_.back());
+        handlers_.pop_back();
+      } else {
+        ++i;
       }
-      handlers_.clear();
     }
-    handlers_.emplace_back([this, fd] {
+    auto done = std::make_shared<std::atomic<bool>>(false);
+    std::thread thread([this, fd, done] {
       HandleConnection(fd);
       ::close(fd);
+      done->store(true, std::memory_order_release);
     });
+    handlers_.push_back(Handler{std::move(thread), std::move(done)});
   }
 }
 

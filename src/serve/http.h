@@ -65,8 +65,14 @@ class HttpServer {
   int port_ = 0;
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
+  /// One connection's thread. `done` flips as the thread's last act, so
+  /// the accept loop joins only handlers that can no longer block.
+  struct Handler {
+    std::thread thread;
+    std::shared_ptr<std::atomic<bool>> done;
+  };
   std::mutex handlers_mu_;
-  std::vector<std::thread> handlers_;
+  std::vector<Handler> handlers_;
 };
 
 /// Parses a CSV window body into `request` (window/num_series/num_steps).

@@ -5,16 +5,16 @@
 #include <map>
 #include <numeric>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "common/check.h"
 #include "common/clock.h"
-#include "common/guard.h"
+#include "comparator/duels.h"
 #include "model/searched_model.h"
 #include "searchspace/parse.h"
 #include "tensor/backend.h"
 #include "tensor/ops.h"
-#include "tensor/plan.h"
 
 namespace autocts {
 namespace serve {
@@ -49,50 +49,41 @@ std::vector<int> TopIndices(const std::vector<int>& scores, int k) {
   return order;
 }
 
-/// Per-worker cache of compiled comparator-inference plans, one per batch
-/// size. Unlike the search-side TlsCompareCache (which freezes the task
-/// embedding as a plan constant), serving feeds the per-row task embeddings
-/// in as a step INPUT, so one plan per batch size serves any mix of tenants'
-/// tasks — the plan survives across requests, which is the point of keeping
-/// workers long-lived. Thread-local because a StepPlan must replay on the
-/// thread that captured it (plan.h invariant).
-struct TlsServePlans {
-  const void* comparator = nullptr;
-  std::map<int, std::unique_ptr<StepPlan>> by_batch;
-};
-
-thread_local TlsServePlans t_serve_plans;
-
 }  // namespace
 
-/// One packed set of signature-deduplicated comparator duels. Requests in a
-/// micro-batch append their duels here; identical duels — same ordered
-/// (first, second) arch-hyper signatures AND same task signature — collapse
-/// into one row, so concurrent tenants querying the same popular dataset
-/// share every logit. Bit-safe because all comparator ops are row-local: a
-/// row's logit does not depend on which rows surround it in the batch.
+/// One packed set of deduplicated comparator duels. Requests in a
+/// micro-batch append their duels here: arch-hypers collapse by signature
+/// (the GIN embeds each one once), tasks by task signature, and identical
+/// duels — same ordered (first, second) signatures AND same task — into one
+/// row, so concurrent tenants querying the same popular dataset share every
+/// logit. Bit-safe because all comparator ops are row-local: a row's logit
+/// does not depend on which rows surround it in the batch.
 struct RecommendationService::DuelSet {
-  struct Row {
-    const ArchHyperEncoding* first;
-    const ArchHyperEncoding* second;
-    Tensor task_row;  ///< [1, f2]; undefined when the comparator is task-blind.
-  };
-  std::vector<Row> rows;
+  DuelTable table;
   std::vector<char> outcomes;  ///< 1 = first wins; filled by EvaluateDuels.
-  std::unordered_map<std::string, int> slot_of;
+  std::unordered_map<std::string, int> candidate_of;
+  std::unordered_map<uint64_t, int> task_of;
+  std::map<std::tuple<int, int, int>, int> slot_of;
+
+  int Candidate(const ArchHyperEncoding* enc, const std::string& sig) {
+    auto it = candidate_of.try_emplace(
+        sig, static_cast<int>(table.candidates.size()));
+    if (it.second) table.candidates.push_back(enc);
+    return it.first->second;
+  }
 
   int Add(const ArchHyperEncoding* first, const ArchHyperEncoding* second,
           const std::string& first_sig, const std::string& second_sig,
           uint64_t task_sig, const Tensor& task_row) {
-    std::string key;
-    key.reserve(first_sig.size() + second_sig.size() + 20);
-    key.append(first_sig);
-    key.push_back('>');
-    key.append(second_sig);
-    key.push_back('@');
-    key.append(HexSig(task_sig));
-    auto it = slot_of.try_emplace(key, static_cast<int>(rows.size()));
-    if (it.second) rows.push_back(Row{first, second, task_row});
+    const int a = Candidate(first, first_sig);
+    const int b = Candidate(second, second_sig);
+    auto t = task_of.try_emplace(task_sig,
+                                 static_cast<int>(table.task_rows.size()));
+    if (t.second) table.task_rows.push_back(task_row);
+    const int task = t.first->second;
+    auto it = slot_of.try_emplace(std::make_tuple(a, b, task),
+                                  static_cast<int>(table.duels.size()));
+    if (it.second) table.duels.push_back({a, b, task});
     return it.first->second;
   }
 };
@@ -461,108 +452,14 @@ const QuantizedComparator* RecommendationService::Quantized(
 }
 
 void RecommendationService::EvaluateDuels(DuelSet* duels) const {
-  duels->outcomes.assign(duels->rows.size(), 0);
-  if (duels->rows.empty()) return;
-  duel_rows_evaluated_.fetch_add(duels->rows.size(),
+  duel_rows_evaluated_.fetch_add(duels->table.duels.size(),
                                  std::memory_order_relaxed);
-  const bool task_aware = comparator_->options().task_aware;
-  const int compare_batch = std::max(1, options_.search.compare_batch);
-  const size_t n = duels->rows.size();
   const ComparatorPrecision precision = options_.precision;
-  NoGradScope no_grad;
-  auto record = [&](size_t begin, int m, const float* logits) {
-    for (int i = 0; i < m; ++i) {
-      const float logit = logits[i];
-      // Mirror the searcher's guardrail: a non-finite logit carries no
-      // preference and deterministically falls to the second candidate.
-      const bool win =
-          (GuardsEnabled() && !std::isfinite(logit)) ? false : logit >= 0.0f;
-      duels->outcomes[begin + static_cast<size_t>(i)] = win ? 1 : 0;
-    }
-  };
-  for (size_t begin = 0; begin < n;
-       begin += static_cast<size_t>(compare_batch)) {
-    const size_t end = std::min(n, begin + static_cast<size_t>(compare_batch));
-    const int m = static_cast<int>(end - begin);
-    // Bucket the chunk to a power-of-two row count (>= 8) by repeating the
-    // last row. Micro-batches vary in size, so raw tail chunks would mint a
-    // new plan (an expensive re-capture) for every new size; buckets bound
-    // the per-worker plan set to log2(compare_batch) shapes. Bit-safe: all
-    // comparator ops are row-local, so pad rows cannot perturb real rows,
-    // and record() only reads the first m logits.
-    int padded = m;
-    if (precision == ComparatorPrecision::kFp32) {
-      padded = 8;
-      while (padded < m) padded *= 2;
-    }
-    std::vector<ArchHyperEncoding> first, second;
-    first.reserve(static_cast<size_t>(padded));
-    second.reserve(static_cast<size_t>(padded));
-    for (size_t r = begin; r < end; ++r) {
-      first.push_back(*duels->rows[r].first);
-      second.push_back(*duels->rows[r].second);
-    }
-    while (static_cast<int>(first.size()) < padded) {
-      first.push_back(*duels->rows[end - 1].first);
-      second.push_back(*duels->rows[end - 1].second);
-    }
-    EncodingBatch eb1 = StackEncodings(first);
-    EncodingBatch eb2 = StackEncodings(second);
-    Tensor task_embeds;
-    if (task_aware) {
-      std::vector<Tensor> rows;
-      rows.reserve(static_cast<size_t>(padded));
-      for (size_t r = begin; r < end; ++r) {
-        rows.push_back(duels->rows[r].task_row);
-      }
-      while (static_cast<int>(rows.size()) < padded) {
-        rows.push_back(duels->rows[end - 1].task_row);
-      }
-      task_embeds = Concat(rows, 0);
-    }
-    if (precision != ComparatorPrecision::kFp32) {
-      // Quantized off-tape inference (PR 6): no tape, no plans; rows stay
-      // independent, so packing requests together is still bit-safe.
-      const std::vector<float> logits =
-          Quantized(precision)->CompareLogits(eb1, eb2, task_embeds);
-      record(begin, m, logits.data());
-      continue;
-    }
-    TlsServePlans& cache = t_serve_plans;
-    if (cache.comparator != static_cast<const void*>(comparator_)) {
-      cache.by_batch.clear();
-      cache.comparator = comparator_;
-    }
-    std::vector<Tensor> step_inputs = {eb1.adjacency, eb1.op_onehot,
-                                       eb1.hyper,     eb2.adjacency,
-                                       eb2.op_onehot, eb2.hyper};
-    if (task_aware) step_inputs.push_back(task_embeds);
-    std::unique_ptr<StepPlan>& plan = cache.by_batch[padded];
-    if (plan == nullptr) plan = std::make_unique<StepPlan>();
-    if (plan->ready() && !plan->MatchesInputs(step_inputs)) {
-      plan->Invalidate();
-    }
-    if (plan->ready()) {
-      // Thread-local ownership makes this structurally true; the CHECK is
-      // the serving-worker enforcement of plan.h's capture-thread invariant.
-      const Status thread_ok = plan->ValidateReplayThread();
-      CHECK(thread_ok.ok()) << thread_ok.message();
-      plan->BeginStep(step_inputs);
-      plan->RunForward();
-      record(begin, m, plan->output(0).data().data());
-      continue;
-    }
-    const bool capture =
-        plan::PlansEnabled() && !plan->capture_failed() &&
-        LiveTapeNodesThisThread() == plan::PinnedTapeNodesThisThread();
-    if (capture) plan->BeginCapture(step_inputs, "serve_compare");
-    Tensor logits = comparator_->CompareLogits(eb1, eb2, task_embeds);
-    if (capture) {
-      plan->AddOutput(logits);
-      plan->EndCapture();
-    }
-    record(begin, m, logits.data().data());
-  }
+  const QuantizedComparator* quant =
+      precision != ComparatorPrecision::kFp32 ? Quantized(precision) : nullptr;
+  duels->outcomes = CompareDuels(*comparator_, quant, duels->table,
+                                 std::max(1, options_.search.compare_batch))
+                        .first_wins;
 }
 
 void RecommendationService::ProcessBatch(std::vector<PendingPtr> batch,

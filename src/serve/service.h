@@ -122,8 +122,10 @@ struct Recommendation {
 /// answers concurrent recommendation queries through a bounded MPMC queue
 /// with micro-batching admission: workers coalesce up to max_batch requests
 /// and pack their comparator duels (deduplicated by content signature) into
-/// shared CompareLogits replays, each row carrying its own task-embedding —
-/// the batching seam that amortizes fixed per-replay cost across tenants.
+/// one two-pass evaluation (comparator/duels.h): the GIN embeds each
+/// distinct arch-hyper once, then shared head replays score every duel,
+/// each row carrying its own task-embedding — the batching seam that
+/// amortizes fixed per-replay cost across tenants.
 ///
 /// Thread safety: Submit/TrySubmit/Recommend may be called from any number
 /// of threads. Shutdown drains queued requests before returning; submissions

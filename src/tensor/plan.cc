@@ -429,7 +429,10 @@ bool StepPlan::EndCapture() {
   }
 
   // Pin everything that isn't arena-bound, cache buffer pointers, and
-  // collect the gradient spans BeginStep must zero.
+  // collect the gradient spans BeginStep must zero. Only training plans
+  // zero gradients: an inference replay, like the eager no-grad step it
+  // records, leaves them alone — and concurrent replays of plans sharing
+  // one model's parameters on several threads must not write them.
   for (size_t i = 0; i < num_slots; ++i) {
     if (f.bufs[i] != nullptr) continue;  // arena slot
     plan::RecSlot& s = rec->slots_[i];
@@ -437,7 +440,7 @@ bool StepPlan::EndCapture() {
     f.bufs[i] = im->data.data();
     f.pinned_bytes += static_cast<int64_t>(
         (im->data.size() + im->grad.size()) * sizeof(float));
-    if (!im->grad.empty()) {
+    if (training && !im->grad.empty()) {
       f.grad_zero.push_back(
           Impl::Span{im->grad.data(), static_cast<int64_t>(im->grad.size())});
     }

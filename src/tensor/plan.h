@@ -178,9 +178,10 @@ class StepPlan {
   /// still hold. On false the caller should Invalidate() and recapture.
   bool MatchesInputs(const std::vector<Tensor>& inputs) const;
 
-  /// Copies this step's input values into the captured input buffers and
-  /// zeroes every pinned gradient (the replay equivalent of fresh zeroed
-  /// intermediate grads plus optimizer ZeroGrad).
+  /// Copies this step's input values into the captured input buffers and,
+  /// for training plans, zeroes every pinned gradient (the replay
+  /// equivalent of fresh zeroed intermediate grads plus optimizer
+  /// ZeroGrad). Inference plans write no gradient.
   void BeginStep(const std::vector<Tensor>& inputs);
 
   /// Writable view of the `i`-th captured input buffer (the slot BeginStep
@@ -196,7 +197,8 @@ class StepPlan {
   int64_t input_size(size_t i) const;
 
   /// BeginStep for callers that already refreshed the input buffers via
-  /// input_data(): zeroes pinned gradients only, copies nothing.
+  /// input_data(): copies nothing; zeroes pinned gradients (training
+  /// plans only).
   void BeginStepInPlace();
 
   /// Executes the recorded forward thunks.

@@ -221,6 +221,46 @@ TEST_P(ComparatorQuantTest, Bf16RankAgreement) {
   EXPECT_EQ(TopK(sweep.wins_fp32, 2), TopK(sweep.wins_quant, 2));
 }
 
+TEST_P(ComparatorQuantTest, TwoPassBf16LogitsBitIdentical) {
+  // The two-pass ranking path embeds each candidate once (GinForward, one
+  // batch for all) and scores duels with the head only (CompareEmbedded);
+  // its logits must equal the one-pass CompareLogits bit for bit.
+  const bool task_aware = GetParam();
+  Comparator comparator(SmallOptions(task_aware), /*seed=*/21);
+  comparator.SetTraining(false);
+  const QuantizedComparator quant(comparator, ComparatorPrecision::kBf16);
+  const SyntheticOrder order = SampleOrder(comparator, 12, 78);
+  const int count = static_cast<int>(order.encs.size());
+  const int d = SmallOptions(task_aware).gin.embed_dim;
+  const std::vector<float> embeds =
+      quant.GinForward(StackEncodings(order.encs));
+  ASSERT_EQ(embeds.size(), static_cast<size_t>(count) * d);
+
+  std::vector<ArchHyperEncoding> first, second;
+  std::vector<float> l1, l2;
+  for (int i = 0; i < count; ++i) {
+    for (int j = 0; j < count; ++j) {
+      if (i == j) continue;
+      first.push_back(order.encs[static_cast<size_t>(i)]);
+      second.push_back(order.encs[static_cast<size_t>(j)]);
+      l1.insert(l1.end(), embeds.begin() + i * d, embeds.begin() + (i + 1) * d);
+      l2.insert(l2.end(), embeds.begin() + j * d, embeds.begin() + (j + 1) * d);
+    }
+  }
+  const int m = static_cast<int>(first.size());
+  Tensor te;
+  if (task_aware) {
+    te = Concat(std::vector<Tensor>(static_cast<size_t>(m), order.task_row), 0);
+  }
+  const std::vector<float> one_pass =
+      quant.CompareLogits(StackEncodings(first), StackEncodings(second), te);
+  const std::vector<float> two_pass = quant.CompareEmbedded(
+      l1.data(), l2.data(), m, task_aware ? te.data().data() : nullptr);
+  ASSERT_EQ(one_pass.size(), two_pass.size());
+  EXPECT_EQ(0, std::memcmp(one_pass.data(), two_pass.data(),
+                           one_pass.size() * sizeof(float)));
+}
+
 INSTANTIATE_TEST_SUITE_P(TaskAwareAndPlain, ComparatorQuantTest,
                          ::testing::Values(true, false));
 

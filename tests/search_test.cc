@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
+#include "common/parallel.h"
 #include "comparator/pretrain.h"
+#include "tensor/ops.h"
+#include "tensor/plan.h"
 
 namespace autocts {
 namespace {
@@ -138,6 +144,103 @@ TEST(EvolutionarySearchTest, TaskAwarePathRuns) {
   std::vector<ArchHyper> top = searcher.SearchTopK(task_embed, TinySearch());
   EXPECT_EQ(top.size(), 3u);
 }
+
+// ---------------------------------------------------------------------------
+// The two-pass eval ranking (GIN once per candidate, head once per duel,
+// fanned out over a pool) pinned to the one-pass definition: every duel
+// scored alone through eager Comparator::CompareLogits on one thread.
+// ---------------------------------------------------------------------------
+
+/// Naive reference verdict: one pair at a time, eager, single thread.
+bool ReferenceFirstWins(const Comparator& comp, const ArchHyper& first,
+                        const ArchHyper& second, const Tensor& task_embed) {
+  ThreadPool one(1);
+  ExecContext ctx;
+  ctx.pool = &one;
+  ExecScope scope(ctx);
+  NoGradScope no_grad;
+  Tensor te;
+  if (comp.options().task_aware) {
+    te = Reshape(task_embed, {1, comp.options().f2});
+  }
+  const Tensor logit =
+      comp.CompareLogits(StackEncodings({EncodeArchHyper(first)}),
+                         StackEncodings({EncodeArchHyper(second)}), te);
+  return logit.at(0) >= 0.0f;
+}
+
+/// (task_aware, compare_batch, plans enabled).
+class TwoPassRankingTest
+    : public ::testing::TestWithParam<std::tuple<bool, int, bool>> {
+ protected:
+  void SetUp() override {
+    plans_were_enabled_ = plan::PlansEnabled();
+    plan::SetPlansEnabled(std::get<2>(GetParam()));
+  }
+  void TearDown() override { plan::SetPlansEnabled(plans_were_enabled_); }
+
+ private:
+  bool plans_were_enabled_ = true;
+};
+
+TEST_P(TwoPassRankingTest, MatchesOnePairEagerReference) {
+  const auto [task_aware, compare_batch, plans] = GetParam();
+  // Seeded, untrained weights: many logits sit near zero, so any numeric
+  // drift from the reference would flip verdicts.
+  Comparator comp(SmallOptions(task_aware), 41);
+  comp.SetTraining(false);
+  JointSearchSpace space;
+  Rng rng(42);
+  Tensor task_embed;
+  if (task_aware) task_embed = Tensor::Randn({4}, &rng);
+  ThreadPool pool(4);
+  ExecContext ctx;
+  ctx.pool = &pool;
+  EvolutionarySearcher searcher(&comp, &space, ctx);
+
+  // Sparse tournament over a pool with repeated arch-hypers (duel dedup).
+  std::vector<ArchHyper> candidates = space.SampleDistinct(30, &rng);
+  for (int i = 0; i < 5; ++i) candidates.push_back(candidates[3 * i]);
+  const int n = static_cast<int>(candidates.size());
+  const int opponents = 4;
+  Rng draw(43);
+  Rng replay(43);
+  const std::vector<int> sparse = searcher.SparseWinCounts(
+      candidates, task_embed, opponents, compare_batch, &draw);
+  std::vector<int> want_sparse(static_cast<size_t>(n), 0);
+  for (int i = 0; i < n; ++i) {
+    for (int o = 0; o < opponents; ++o) {
+      int j = replay.Int(0, n - 1);
+      if (j == i) j = (j + 1) % n;
+      const bool first_wins =
+          ReferenceFirstWins(comp, candidates[static_cast<size_t>(i)],
+                             candidates[static_cast<size_t>(j)], task_embed);
+      ++want_sparse[static_cast<size_t>(first_wins ? i : j)];
+    }
+  }
+  EXPECT_EQ(sparse, want_sparse);
+
+  // Full round-robin over a small set.
+  candidates.resize(9);
+  const std::vector<int> rr =
+      searcher.RoundRobinWins(candidates, task_embed, compare_batch);
+  std::vector<int> want_rr(candidates.size(), 0);
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    for (size_t j = 0; j < candidates.size(); ++j) {
+      if (i != j && ReferenceFirstWins(comp, candidates[i], candidates[j],
+                                       task_embed)) {
+        ++want_rr[i];
+      }
+    }
+  }
+  EXPECT_EQ(rr, want_rr);
+  EXPECT_EQ(searcher.nonfinite_comparisons(), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TaskAwareBatchPlans, TwoPassRankingTest,
+    ::testing::Combine(::testing::Bool(), ::testing::Values(1, 7, 64),
+                       ::testing::Bool()));
 
 }  // namespace
 }  // namespace autocts

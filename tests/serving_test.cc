@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -384,8 +385,8 @@ TEST(HttpTest, ParseCsvWindow) {
   }
 }
 
-/// Minimal blocking HTTP client: one request, returns the full response.
-std::string HttpRequest(int port, const std::string& raw) {
+/// A client socket connected to the loopback `port`.
+int ConnectLoopback(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   sockaddr_in addr{};
@@ -393,6 +394,20 @@ std::string HttpRequest(int port, const std::string& raw) {
   addr.sin_port = htons(static_cast<uint16_t>(port));
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  return fd;
+}
+
+/// Minimal blocking HTTP client: one request, returns the full response.
+/// A positive `recv_timeout_s` bounds each receive (a stalled server then
+/// yields a short or empty response instead of a hung test).
+std::string HttpRequest(int port, const std::string& raw,
+                        int recv_timeout_s = 0) {
+  const int fd = ConnectLoopback(port);
+  if (recv_timeout_s > 0) {
+    timeval tv{};
+    tv.tv_sec = recv_timeout_s;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
   size_t sent = 0;
   while (sent < raw.size()) {
     const ssize_t n = ::send(fd, raw.data() + sent, raw.size() - sent, 0);
@@ -466,6 +481,35 @@ TEST(HttpTest, RecommendStatsAndHealthRoundTrip) {
                 .find("404"),
             std::string::npos);
 
+  server.Stop();
+  service.Shutdown();
+}
+
+TEST(HttpTest, SilentClientDoesNotStallAccept) {
+  // One client connects and never sends its request, so its handler stays
+  // blocked in the read. Later clients — more of them than the server has
+  // ever held handlers for at once — must still be accepted and answered.
+  ServeFixture fx;
+  RecommendationService service(&fx.comparator, &fx.encoder, &fx.space,
+                                TinyServe(1, 4));
+  ASSERT_TRUE(service.Start().ok());
+  HttpOptions http;
+  http.port = 0;
+  HttpServer server(&service, http);
+  ASSERT_TRUE(server.Start().ok());
+  const int silent = ConnectLoopback(server.port());
+  int answered = 0;
+  while (answered < 70 &&
+         HttpRequest(server.port(),
+                     "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+                     /*recv_timeout_s=*/2)
+                 .find("200 OK") != std::string::npos) {
+    ++answered;
+  }
+  // Closing the silent socket ends its handler's read, so Stop can join it
+  // (whether or not the requests above got through).
+  ::close(silent);
+  EXPECT_EQ(answered, 70) << "accept() stalled behind the silent client";
   server.Stop();
   service.Shutdown();
 }
