@@ -161,6 +161,7 @@ void BM_ComparatorRankingThroughput(benchmark::State& state) {
   Comparator::Options opts;
   opts.task_aware = false;
   Comparator comp(opts, 6);
+  comp.SetTraining(false);
   JointSearchSpace space;
   std::vector<ArchHyper> pool = space.SampleDistinct(64, &rng);
   EvolutionarySearcher searcher(&comp, &space);

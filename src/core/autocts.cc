@@ -292,6 +292,9 @@ Status AutoCtsPlusPlus::LoadCheckpoint(const std::string& path) {
   if (!s.ok()) return s;
   s = LoadParameters(comparator_.get(), path + ".tahc");
   if (!s.ok()) return s;
+  // Loaded modules are for inference: ranking is eval-mode only.
+  encoder_->SetTraining(false);
+  comparator_->SetTraining(false);
   pretrained_ = true;
   return Status::Ok();
 }

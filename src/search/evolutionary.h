@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -34,17 +32,56 @@ struct SearchOptions {
   uint64_t seed = 303;
 };
 
-/// Comparator-guided evolutionary search over the joint search space for a
-/// fixed task embedding (undefined tensor for a plain, task-blind AHC).
+/// One task of a batched search.
+struct SearchTask {
+  /// [f2] or [1, f2] task embedding; undefined for a task-blind comparator.
+  Tensor embed;
+  /// Identifies the task: tasks with equal keys must carry equal embeddings,
+  /// and their identical duels are scored once.
+  uint64_t key = 0;
+  /// Seed of the task's own Rng (candidate sampling, pair draws, evolution).
+  uint64_t seed = 0;
+};
+
+/// Comparator duels a batched search asked for, before and after the
+/// cross-task dedup of each stage's DuelTable.
+struct DuelCounts {
+  uint64_t requested = 0;
+  uint64_t evaluated = 0;
+};
+
+/// Comparator-guided evolutionary search over the joint search space (paper
+/// Alg. 2): a sparse tournament over K_s sampled candidates, evolution of the
+/// top k_p, then a transitivity-free round-robin top-K. This is the one
+/// implementation of the ranking; the serving layer ranks its micro-batches
+/// through the batched SearchTopK.
+///
+/// Ranking is eval-mode only (comparator/duels.h CHECKs it). Each stage
+/// packs its duels into one DuelTable: candidates deduplicated by signature
+/// (each is encoded and GIN-embedded once per stage), tasks by key, and
+/// duels by (first, second, task), so a duel asked twice — in one task or
+/// across tasks — is scored once. Bit-safe because every comparator op is
+/// row-local.
+///
+/// Thread safety: the const methods may run concurrently on one searcher.
 class EvolutionarySearcher {
  public:
-  /// `ctx` selects the thread pool: comparator inference batches fan out
-  /// across it when the comparator is in eval mode (batch outcomes don't
-  /// depend on each other, so results are identical for any pool size).
+  /// `ctx` selects the thread pool the two-pass duel evaluation fans out
+  /// across (duel outcomes don't depend on each other, so results are
+  /// identical for any pool size). The default context is the process
+  /// default pool; pass a 1-lane pool to keep ranking inline.
   EvolutionarySearcher(const Comparator* comparator,
                        const JointSearchSpace* space, ExecContext ctx = {});
 
-  /// Runs Alg. 2 and returns the top-K arch-hypers, best first.
+  /// Runs Alg. 2 for every task in lockstep and returns each task's top-K
+  /// arch-hypers, best first. Each task draws from its own Rng(seed), so its
+  /// answer equals a one-task call with that seed whatever the batch holds.
+  /// `counts`, when set, receives the duels requested and evaluated.
+  std::vector<std::vector<ArchHyper>> SearchTopK(
+      const std::vector<SearchTask>& tasks, const SearchOptions& options,
+      DuelCounts* counts = nullptr) const;
+
+  /// One-task SearchTopK seeded with `options.seed`.
   std::vector<ArchHyper> SearchTopK(const Tensor& task_embed,
                                     const SearchOptions& options) const;
 
@@ -69,43 +106,30 @@ class EvolutionarySearcher {
   }
 
  private:
-  /// Batched "first beats second" decisions for index pairs into `enc`.
-  std::vector<bool> ComparePairs(
-      const std::vector<ArchHyperEncoding>& enc,
-      const std::vector<std::pair<int, int>>& pairs, const Tensor& task_embed,
-      int compare_batch) const;
+  /// One task's duels in one stage, as index pairs into `items`.
+  struct StageDuels {
+    const std::vector<ArchHyper>* items = nullptr;
+    std::vector<std::pair<int, int>> pairs;
+  };
 
-  /// The lazily built quantized comparator snapshot serving eval-mode
-  /// ComparePairs when GlobalRuntimeConfig().comparator_precision is bf16.
-  /// Weights are snapshotted at first quantized use — valid here
-  /// because the searcher holds the comparator const, so weights cannot
-  /// change across a search. Guarded: ComparePairs fans out across the pool.
+  /// "First beats second" outcomes (1 = first wins) of every task's stage
+  /// duels, scored through one deduplicated DuelTable.
+  std::vector<std::vector<char>> CompareStage(
+      const std::vector<SearchTask>& tasks,
+      const std::vector<StageDuels>& stage, int compare_batch,
+      DuelCounts* counts) const;
+
+  /// The lazily built quantized comparator snapshot that scores duels when
+  /// GlobalRuntimeConfig().comparator_precision is bf16. Weights are
+  /// snapshotted at first quantized use — valid because the searcher holds
+  /// the comparator const, so weights cannot change under it.
   const QuantizedComparator* Quantized(ComparatorPrecision precision) const;
-
-  /// EncodeArchHyper memoized on ArchHyper::Signature() (equal signatures
-  /// ⇔ equal arch-hypers ⇒ equal encodings). Population survivors re-enter
-  /// every generation's round-robin, so most encodings repeat many times.
-  ArchHyperEncoding CachedEncoding(const ArchHyper& ah) const;
-
-  /// ComparePairs with duplicate (first, second) *encodings* collapsed:
-  /// each signature-distinct ordered pair's logit is computed once and the
-  /// outcome broadcast to every duplicate duel. Bit-safe because every
-  /// comparator op is row-local, so a logit does not depend on which batch
-  /// rows surround it.
-  std::vector<bool> DedupedOutcomes(const std::vector<ArchHyper>& items,
-                                    const std::vector<ArchHyperEncoding>& enc,
-                                    const std::vector<std::pair<int, int>>& pairs,
-                                    const Tensor& task_embed,
-                                    int compare_batch) const;
 
   const Comparator* comparator_;
   const JointSearchSpace* space_;
   ExecContext ctx_;
-  /// Mutable: ComparePairs is logically const; the counter is telemetry.
+  /// Mutable: ranking is logically const; the counter is telemetry.
   mutable std::atomic<int64_t> nonfinite_comparisons_{0};
-  /// Signature -> encoding memo (guarded; searchers may be shared).
-  mutable std::mutex encode_mu_;
-  mutable std::unordered_map<std::string, ArchHyperEncoding> encode_cache_;
   /// Quantized comparator snapshot (see Quantized()).
   mutable std::mutex quant_mu_;
   mutable std::unique_ptr<QuantizedComparator> quant_;

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
-#include <numeric>
 #include <sstream>
-#include <tuple>
 #include <utility>
 
 #include "common/check.h"
 #include "common/clock.h"
-#include "comparator/duels.h"
+#include "common/runtime_config.h"
 #include "model/searched_model.h"
 #include "searchspace/parse.h"
 #include "tensor/backend.h"
@@ -35,78 +32,15 @@ std::string HexSig(uint64_t sig) {
   return os.str();
 }
 
-/// Indices of the top-k values, descending — the exact tie-break rule of
-/// evolutionary.cc's TopIndices (stable sort keeps earlier indices first),
-/// which serve-mode ranking must replicate bit-for-bit.
-std::vector<int> TopIndices(const std::vector<int>& scores, int k) {
-  std::vector<int> order(scores.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return scores[static_cast<size_t>(a)] > scores[static_cast<size_t>(b)];
-  });
-  order.resize(
-      static_cast<size_t>(std::min<int>(k, static_cast<int>(order.size()))));
-  return order;
-}
-
 }  // namespace
 
-/// One packed set of deduplicated comparator duels. Requests in a
-/// micro-batch append their duels here: arch-hypers collapse by signature
-/// (the GIN embeds each one once), tasks by task signature, and identical
-/// duels — same ordered (first, second) signatures AND same task — into one
-/// row, so concurrent tenants querying the same popular dataset share every
-/// logit. Bit-safe because all comparator ops are row-local: a row's logit
-/// does not depend on which rows surround it in the batch.
-struct RecommendationService::DuelSet {
-  DuelTable table;
-  std::vector<char> outcomes;  ///< 1 = first wins; filled by EvaluateDuels.
-  std::unordered_map<std::string, int> candidate_of;
-  std::unordered_map<uint64_t, int> task_of;
-  std::map<std::tuple<int, int, int>, int> slot_of;
-
-  int Candidate(const ArchHyperEncoding* enc, const std::string& sig) {
-    auto it = candidate_of.try_emplace(
-        sig, static_cast<int>(table.candidates.size()));
-    if (it.second) table.candidates.push_back(enc);
-    return it.first->second;
-  }
-
-  int Add(const ArchHyperEncoding* first, const ArchHyperEncoding* second,
-          const std::string& first_sig, const std::string& second_sig,
-          uint64_t task_sig, const Tensor& task_row) {
-    const int a = Candidate(first, first_sig);
-    const int b = Candidate(second, second_sig);
-    auto t = task_of.try_emplace(task_sig,
-                                 static_cast<int>(table.task_rows.size()));
-    if (t.second) table.task_rows.push_back(task_row);
-    const int task = t.first->second;
-    auto it = slot_of.try_emplace(std::make_tuple(a, b, task),
-                                  static_cast<int>(table.duels.size()));
-    if (it.second) table.duels.push_back({a, b, task});
-    return it.first->second;
-  }
-};
-
-/// In-worker state of one request across the lockstep ranking rounds.
+/// In-worker state of one request across its micro-batch.
 struct RecommendationService::Active {
   Pending* pending = nullptr;
   Status status;  ///< First failure; non-OK skips the remaining stages.
   uint64_t signature = 0;
   ForecastTask task;
-  Tensor task_row;  ///< [1, f2] served task embedding.
-  /// Stage-1 pool (sampled), its encodings and signatures.
-  std::vector<ArchHyper> pool;
-  std::vector<ArchHyperEncoding> enc;
-  std::vector<std::string> sigs;
-  std::vector<std::pair<int, int>> pairs;  ///< Current stage's duels.
-  std::vector<int> pair_slots;             ///< DuelSet slot per duel.
-  /// Stage-2 population (sparse-tournament survivors).
-  std::vector<ArchHyper> population;
-  std::vector<ArchHyperEncoding> pop_enc;
-  std::vector<std::string> pop_sigs;
-  std::vector<ArchHyper> top;  ///< Final ranked answer.
-  int top_k = 1;
+  ArchHyper best;  ///< Top-ranked arch-hyper (the forecast model's).
   Recommendation result;
 
   bool ok() const { return status.ok(); }
@@ -319,10 +253,13 @@ void RecommendationService::WorkerLoop(int worker_index) {
   ctx.pool = &local_pool;
   ctx.seed = options_.search.seed + static_cast<uint64_t>(worker_index);
   ExecScope scope(ctx);
+  // The worker's own searcher, bound to its pool so ranking stays inline
+  // too; its bf16 snapshot lives as long as the worker.
+  const EvolutionarySearcher searcher(comparator_, space_, ctx);
   for (;;) {
     std::vector<PendingPtr> batch = PopBatch();
     if (batch.empty()) return;
-    ProcessBatch(std::move(batch), ctx);
+    ProcessBatch(std::move(batch), searcher, ctx);
   }
 }
 
@@ -429,40 +366,8 @@ Tensor RecommendationService::TaskEmbeddingFor(
   return ComputeEmbedding(MakeTask(request, signature), signature);
 }
 
-ArchHyperEncoding RecommendationService::CachedEncoding(
-    const ArchHyper& ah) const {
-  const std::string key = ah.Signature();
-  {
-    std::lock_guard<std::mutex> lock(encode_mu_);
-    auto it = encode_cache_.find(key);
-    if (it != encode_cache_.end()) return it->second;
-  }
-  ArchHyperEncoding enc = EncodeArchHyper(ah);
-  std::lock_guard<std::mutex> lock(encode_mu_);
-  return encode_cache_.try_emplace(key, std::move(enc)).first->second;
-}
-
-const QuantizedComparator* RecommendationService::Quantized(
-    ComparatorPrecision precision) const {
-  std::lock_guard<std::mutex> lock(quant_mu_);
-  if (quant_ == nullptr || quant_->precision() != precision) {
-    quant_ = std::make_unique<QuantizedComparator>(*comparator_, precision);
-  }
-  return quant_.get();
-}
-
-void RecommendationService::EvaluateDuels(DuelSet* duels) const {
-  duel_rows_evaluated_.fetch_add(duels->table.duels.size(),
-                                 std::memory_order_relaxed);
-  const ComparatorPrecision precision = options_.precision;
-  const QuantizedComparator* quant =
-      precision != ComparatorPrecision::kFp32 ? Quantized(precision) : nullptr;
-  duels->outcomes = CompareDuels(*comparator_, quant, duels->table,
-                                 std::max(1, options_.search.compare_batch))
-                        .first_wins;
-}
-
 void RecommendationService::ProcessBatch(std::vector<PendingPtr> batch,
+                                         const EvolutionarySearcher& searcher,
                                          const ExecContext& ctx) {
   const auto t0 = Clock::now();
   batches_.fetch_add(1, std::memory_order_relaxed);
@@ -471,17 +376,15 @@ void RecommendationService::ProcessBatch(std::vector<PendingPtr> batch,
   // changed since the last batch (the staleness contract; see embed_cache.h).
   embed_cache_.SetContext(
       std::string(kernels::ActiveBackend().name) + "/" +
-      ComparatorPrecisionName(options_.precision));
+      ComparatorPrecisionName(GlobalRuntimeConfig().comparator_precision));
 
-  const bool task_aware = comparator_->options().task_aware;
-  const int f2 = comparator_->options().f2;
-
-  // Per-request setup: validate, embed (through the cache), sample the
-  // candidate pool and the sparse-tournament duels. RNG consumption per
-  // request is EXACTLY SearchTopK's at generations=0 (SampleDistinct first,
-  // then the pair draws), with seed = search.seed ^ window signature — so a
-  // serve response equals a library SearchTopK call for the same window.
+  // Per-request setup: validate and embed (through the cache). Each valid
+  // request becomes one search task keyed by its window signature and
+  // seeded with search.seed ^ signature, so its answer is a library
+  // SearchTopK call for that window whatever else the batch holds.
   std::vector<Active> acts(batch.size());
+  std::vector<Active*> ranked;
+  std::vector<SearchTask> tasks;
   for (size_t i = 0; i < batch.size(); ++i) {
     Active& a = acts[i];
     a.pending = batch[i].get();
@@ -493,110 +396,39 @@ void RecommendationService::ProcessBatch(std::vector<PendingPtr> batch,
                                   req.single_step);
     a.result.task_signature = a.signature;
     a.task = MakeTask(req, a.signature);
-    if (task_aware) {
+    Tensor embed;
+    if (comparator_->options().task_aware) {
       NoGradScope no_grad;
       bool hit = false;
-      Tensor embed = embed_cache_.GetOrCompute(
+      embed = embed_cache_.GetOrCompute(
           a.signature, [&] { return ComputeEmbedding(a.task, a.signature); },
           &hit);
       a.result.embed_cache_hit = hit;
-      a.task_row = Reshape(embed, {1, f2});
     }
-    Rng rng(options_.search.seed ^ a.signature);
-    a.pool = space_->SampleDistinct(options_.search.ranking_pool, &rng);
-    const int n = static_cast<int>(a.pool.size());
-    a.enc.reserve(a.pool.size());
-    a.sigs.reserve(a.pool.size());
-    for (const ArchHyper& ah : a.pool) {
-      a.enc.push_back(CachedEncoding(ah));
-      a.sigs.push_back(ah.Signature());
-    }
-    for (int c = 0; c < n; ++c) {
-      for (int o = 0; o < options_.search.opponents_per_candidate; ++o) {
-        int j = rng.Int(0, n - 1);
-        if (j == c) j = (j + 1) % n;
-        a.pairs.push_back({c, j});
-      }
-    }
-    a.top_k = std::min(req.top_k, options_.search.population);
+    tasks.push_back({embed, a.signature, options_.search.seed ^ a.signature});
+    ranked.push_back(&a);
   }
 
-  // Round 1 — sparse tournament, all requests' duels packed and deduped.
-  {
-    DuelSet duels;
-    for (Active& a : acts) {
-      if (!a.ok()) continue;
-      duel_rows_.fetch_add(a.pairs.size(), std::memory_order_relaxed);
-      a.pair_slots.reserve(a.pairs.size());
-      for (const auto& p : a.pairs) {
-        a.pair_slots.push_back(duels.Add(
-            &a.enc[static_cast<size_t>(p.first)],
-            &a.enc[static_cast<size_t>(p.second)],
-            a.sigs[static_cast<size_t>(p.first)],
-            a.sigs[static_cast<size_t>(p.second)], a.signature, a.task_row));
-      }
+  // Rank the whole micro-batch in lockstep. Every answer is ranked to the
+  // full population and cut to its request's top_k: the stable sort makes
+  // a shorter answer a prefix of a longer one.
+  SearchOptions search = options_.search;
+  search.generations = 0;  // Rank-only serving mode.
+  search.top_k = search.population;
+  search.compare_batch = std::max(1, search.compare_batch);
+  DuelCounts counts;
+  const std::vector<std::vector<ArchHyper>> tops =
+      searcher.SearchTopK(tasks, search, &counts);
+  duel_rows_.fetch_add(counts.requested, std::memory_order_relaxed);
+  duel_rows_evaluated_.fetch_add(counts.evaluated, std::memory_order_relaxed);
+  for (size_t t = 0; t < ranked.size(); ++t) {
+    Active& a = *ranked[t];
+    const size_t k = std::min(tops[t].size(),
+                              static_cast<size_t>(a.pending->request.top_k));
+    for (size_t i = 0; i < k; ++i) {
+      a.result.ranked.push_back(tops[t][i].Signature());
     }
-    EvaluateDuels(&duels);
-    for (Active& a : acts) {
-      if (!a.ok()) continue;
-      std::vector<int> wins(a.pool.size(), 0);
-      for (size_t p = 0; p < a.pairs.size(); ++p) {
-        // Credit both sides, as SparseWinCounts does.
-        if (duels.outcomes[static_cast<size_t>(a.pair_slots[p])] != 0) {
-          ++wins[static_cast<size_t>(a.pairs[p].first)];
-        } else {
-          ++wins[static_cast<size_t>(a.pairs[p].second)];
-        }
-      }
-      for (int idx : TopIndices(wins, options_.search.population)) {
-        a.population.push_back(a.pool[static_cast<size_t>(idx)]);
-        a.pop_enc.push_back(a.enc[static_cast<size_t>(idx)]);
-        a.pop_sigs.push_back(a.sigs[static_cast<size_t>(idx)]);
-      }
-      a.pairs.clear();
-      a.pair_slots.clear();
-    }
-  }
-
-  // Round 2 — full round-robin within each request's population, again
-  // packed across the micro-batch.
-  {
-    DuelSet duels;
-    for (Active& a : acts) {
-      if (!a.ok()) continue;
-      const int n = static_cast<int>(a.population.size());
-      for (int i = 0; i < n; ++i) {
-        for (int j = 0; j < n; ++j) {
-          if (i != j) a.pairs.push_back({i, j});
-        }
-      }
-      duel_rows_.fetch_add(a.pairs.size(), std::memory_order_relaxed);
-      a.pair_slots.reserve(a.pairs.size());
-      for (const auto& p : a.pairs) {
-        a.pair_slots.push_back(
-            duels.Add(&a.pop_enc[static_cast<size_t>(p.first)],
-                      &a.pop_enc[static_cast<size_t>(p.second)],
-                      a.pop_sigs[static_cast<size_t>(p.first)],
-                      a.pop_sigs[static_cast<size_t>(p.second)], a.signature,
-                      a.task_row));
-      }
-    }
-    EvaluateDuels(&duels);
-    for (Active& a : acts) {
-      if (!a.ok()) continue;
-      std::vector<int> final_wins(a.population.size(), 0);
-      for (size_t p = 0; p < a.pairs.size(); ++p) {
-        // Credit the first side only, as RoundRobinWins does.
-        if (duels.outcomes[static_cast<size_t>(a.pair_slots[p])] != 0) {
-          ++final_wins[static_cast<size_t>(a.pairs[p].first)];
-        }
-      }
-      for (int idx : TopIndices(final_wins, a.top_k)) {
-        a.top.push_back(a.population[static_cast<size_t>(idx)]);
-        a.result.ranked.push_back(
-            a.pop_sigs[static_cast<size_t>(idx)]);
-      }
-    }
+    a.best = tops[t].front();
   }
 
   // Forecasts (trained on demand, cached per (window, arch) signature).
@@ -605,7 +437,7 @@ void RecommendationService::ProcessBatch(std::vector<PendingPtr> batch,
     if (!a.ok() || !a.pending->request.want_forecast) continue;
     bool model_hit = false;
     StatusOr<std::vector<float>> fc =
-        Forecast(a.task, a.signature, a.top.front(), ctx, &model_hit);
+        Forecast(a.task, a.signature, a.best, ctx, &model_hit);
     if (!fc.ok()) {
       a.status = fc.status();
       continue;

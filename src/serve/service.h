@@ -14,12 +14,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/runtime_config.h"
 #include "common/runtime_stats.h"
 #include "common/scale_config.h"
 #include "common/status.h"
 #include "comparator/comparator.h"
-#include "comparator/quant.h"
 #include "embedding/ts2vec.h"
 #include "model/trainer.h"
 #include "search/evolutionary.h"
@@ -53,9 +51,11 @@ struct ServeOptions {
   size_t model_cache_entries = 16;
   /// Zero-shot ranking knobs. Serving runs the rank-only mode — sparse
   /// tournament over `search.ranking_pool` candidates, then one final
-  /// round-robin among the top `search.population` — i.e. SearchTopK with
-  /// generations pinned to 0. Responses are identical to
-  /// EvolutionarySearcher::SearchTopK at those options.
+  /// round-robin among the top `search.population`: each micro-batch is one
+  /// batched EvolutionarySearcher::SearchTopK call with generations pinned
+  /// to 0 and seed `search.seed ^ window signature` per request. Comparator
+  /// precision is the process AUTOCTS_COMPARATOR_PRECISION, read by the
+  /// searcher.
   SearchOptions search;
   /// Windows drawn per request for the preliminary task embedding.
   int windows_per_task = 8;
@@ -64,11 +64,6 @@ struct ServeOptions {
   TrainOptions forecast_train;
   /// Model-geometry scaling for forecast models.
   ScaleConfig scale;
-  /// Comparator inference precision for this service (default: the process
-  /// AUTOCTS_COMPARATOR_PRECISION). bf16 takes the off-tape quantized path;
-  /// responses stay deterministic per precision.
-  ComparatorPrecision precision = GlobalRuntimeConfig().comparator_precision;
-
   /// Serving defaults scaled to the preset (small ranking pool: the
   /// "seconds, not minutes" zero-shot promise).
   static ServeOptions ForScale(const ScaleConfig& scale);
@@ -121,11 +116,12 @@ struct Recommendation {
 /// worker's captured inference StepPlans resident across requests, and
 /// answers concurrent recommendation queries through a bounded MPMC queue
 /// with micro-batching admission: workers coalesce up to max_batch requests
-/// and pack their comparator duels (deduplicated by content signature) into
-/// one two-pass evaluation (comparator/duels.h): the GIN embeds each
-/// distinct arch-hyper once, then shared head replays score every duel,
-/// each row carrying its own task-embedding — the batching seam that
-/// amortizes fixed per-replay cost across tenants.
+/// and rank them in one batched EvolutionarySearcher::SearchTopK call, which
+/// packs every request's duels of a stage into one deduplicated two-pass
+/// evaluation (comparator/duels.h): the GIN embeds each distinct arch-hyper
+/// once, then shared head replays score every duel, each row carrying its
+/// own task embedding — the batching seam that amortizes fixed per-replay
+/// cost across tenants.
 ///
 /// Thread safety: Submit/TrySubmit/Recommend may be called from any number
 /// of threads. Shutdown drains queued requests before returning; submissions
@@ -223,15 +219,16 @@ class RecommendationService {
 
   /// In-worker state of one request while its micro-batch is processed.
   struct Active;
-  /// One packed set of deduplicated comparator duels (declared in .cc).
-  struct DuelSet;
 
   void WorkerLoop(int worker_index);
   /// Pops one micro-batch (admission policy); empty means "stopping and
   /// drained" and the worker should exit.
   std::vector<PendingPtr> PopBatch();
-  /// Serves one micro-batch end to end and fulfills every promise.
-  void ProcessBatch(std::vector<PendingPtr> batch, const ExecContext& ctx);
+  /// Serves one micro-batch end to end and fulfills every promise. `searcher`
+  /// is the worker's own, bound to the worker's 1-lane pool `ctx`.
+  void ProcessBatch(std::vector<PendingPtr> batch,
+                    const EvolutionarySearcher& searcher,
+                    const ExecContext& ctx);
 
   Status Validate(const RecommendRequest& request) const;
   /// Builds the ForecastTask a request describes (dataset named by its
@@ -239,10 +236,6 @@ class RecommendationService {
   ForecastTask MakeTask(const RecommendRequest& request,
                         uint64_t signature) const;
   Tensor ComputeEmbedding(const ForecastTask& task, uint64_t signature) const;
-  /// Evaluates every queued duel row (deduplicated) and scatters outcomes.
-  void EvaluateDuels(DuelSet* duels) const;
-  ArchHyperEncoding CachedEncoding(const ArchHyper& ah) const;
-  const QuantizedComparator* Quantized(ComparatorPrecision precision) const;
   /// Trains (or fetches) the forecast model for (task, arch) and predicts
   /// the window's next horizon. Sets `model_hit`.
   StatusOr<std::vector<float>> Forecast(const ForecastTask& task,
@@ -293,14 +286,6 @@ class RecommendationService {
   bool stopping_ = false;
   bool started_ = false;
   std::vector<std::thread> workers_;
-
-  // Encoding memo (signature -> encoding), shared across workers.
-  mutable std::mutex encode_mu_;
-  mutable std::unordered_map<std::string, ArchHyperEncoding> encode_cache_;
-
-  // Quantized comparator snapshot, built lazily per precision.
-  mutable std::mutex quant_mu_;
-  mutable std::unique_ptr<QuantizedComparator> quant_;
 
   // Forecast model cache (LRU by key, in-flight dedup like the embed cache).
   mutable std::mutex model_mu_;

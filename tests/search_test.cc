@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
@@ -137,6 +140,7 @@ TEST(EvolutionarySearchTest, SparseTournamentCountsBounded) {
 
 TEST(EvolutionarySearchTest, TaskAwarePathRuns) {
   Comparator comp(SmallOptions(true), 25);
+  comp.SetTraining(false);
   JointSearchSpace space;
   EvolutionarySearcher searcher(&comp, &space);
   Rng rng(26);
@@ -144,6 +148,59 @@ TEST(EvolutionarySearchTest, TaskAwarePathRuns) {
   std::vector<ArchHyper> top = searcher.SearchTopK(task_embed, TinySearch());
   EXPECT_EQ(top.size(), 3u);
 }
+
+std::vector<std::string> Signatures(const std::vector<ArchHyper>& ahs) {
+  std::vector<std::string> sigs;
+  for (const ArchHyper& ah : ahs) sigs.push_back(ah.Signature());
+  return sigs;
+}
+
+/// Batched SearchTopK against one-task calls; the parameter is task_aware.
+class BatchedSearchTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(BatchedSearchTest, MatchesOneTaskCalls) {
+  const bool task_aware = GetParam();
+  Comparator comp(SmallOptions(task_aware), 51);
+  comp.SetTraining(false);
+  JointSearchSpace space;
+  ThreadPool pool(4);
+  ExecContext ctx;
+  ctx.pool = &pool;
+  EvolutionarySearcher searcher(&comp, &space, ctx);
+  SearchOptions opts = TinySearch();
+  ASSERT_GT(opts.generations, 0);
+  Rng rng(52);
+  std::map<uint64_t, Tensor> embeds;
+  for (uint64_t key : {7u, 8u, 9u}) {
+    if (task_aware) embeds[key] = Tensor::Randn({4}, &rng);
+  }
+  // Tasks 0 and 2 share a key (one embedding) under different seeds; task 3
+  // repeats task 1 outright, so every one of its duels dedups across tasks;
+  // task 4 draws task 0's duels under another key, so none of them may.
+  const std::vector<std::pair<uint64_t, uint64_t>> key_seeds = {
+      {7, 101}, {8, 102}, {7, 103}, {8, 102}, {9, 101}};
+  std::vector<SearchTask> tasks;
+  for (const auto& [key, seed] : key_seeds) {
+    tasks.push_back({embeds[key], key, seed});
+  }
+  DuelCounts counts;
+  const std::vector<std::vector<ArchHyper>> batched =
+      searcher.SearchTopK(tasks, opts, &counts);
+  ASSERT_EQ(batched.size(), tasks.size());
+  for (size_t t = 0; t < tasks.size(); ++t) {
+    SearchOptions one = opts;
+    one.seed = tasks[t].seed;
+    EXPECT_EQ(Signatures(batched[t]),
+              Signatures(searcher.SearchTopK(tasks[t].embed, one)))
+        << "task " << t;
+  }
+  EXPECT_EQ(Signatures(batched[1]), Signatures(batched[3]));
+  EXPECT_LT(counts.evaluated, counts.requested);
+  EXPECT_EQ(searcher.nonfinite_comparisons(), 0);
+  EXPECT_TRUE(searcher.SearchTopK(std::vector<SearchTask>{}, opts).empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(TaskAware, BatchedSearchTest, ::testing::Bool());
 
 // ---------------------------------------------------------------------------
 // The two-pass eval ranking (GIN once per candidate, head once per duel,

@@ -145,6 +145,9 @@ TEST(SerializeTest, FrameworkCheckpointMarksPretrained) {
   EXPECT_FALSE(b.pretrained());
   ASSERT_TRUE(b.LoadCheckpoint(path).ok());
   EXPECT_TRUE(b.pretrained());
+  // A loaded framework ranks straight away, and ranking is eval-mode only.
+  EXPECT_FALSE(b.comparator()->training());
+  EXPECT_FALSE(b.encoder()->training());
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/runtime_config.h"
 #include "search/evolutionary.h"
 #include "serve/embed_cache.h"
 #include "serve/http.h"
@@ -245,17 +246,16 @@ TEST(ServingTest, ResponsesIdenticalAcrossBatchWorkersAndCacheState) {
 }
 
 TEST(ServingTest, QuantizedPrecisionsDeterministicAcrossBatching) {
+  // Runs at the process AUTOCTS_COMPARATOR_PRECISION: ctest registers this
+  // binary once at fp32 and once at bf16.
   ServeFixture fx;
   std::vector<RecommendRequest> reqs;
   for (uint64_t s : {21u, 22u, 21u, 23u}) reqs.push_back(fx.Request(s));
-  const ComparatorPrecision precision = ComparatorPrecision::kBf16;
-  ServeOptions unbatched = TinyServe(1, 1);
-  unbatched.precision = precision;
-  ServeOptions batched = TinyServe(2, 8);
-  batched.precision = precision;
-  const auto a = ServeAll(&fx, reqs, unbatched);
-  const auto b = ServeAll(&fx, reqs, batched);
-  EXPECT_EQ(a, b) << "precision " << ComparatorPrecisionName(precision);
+  const auto a = ServeAll(&fx, reqs, TinyServe(1, 1));
+  const auto b = ServeAll(&fx, reqs, TinyServe(2, 8));
+  EXPECT_EQ(a, b) << "precision "
+                  << ComparatorPrecisionName(
+                         GlobalRuntimeConfig().comparator_precision);
   EXPECT_EQ(a[0], a[2]);  // Rank agreement between identical requests.
 }
 
